@@ -3,10 +3,12 @@
 //!
 //! `streaming/materialized` times [`StreamEngine::stream_batches`] — the
 //! collect-everything adapter offline consumers use. `streaming/
-//! incremental` times [`StreamEngine::for_each_round`] feeding a live
-//! consumer (per-chunk event accumulation + per-shot CUSUM updates), i.e.
-//! the full decode-as-you-stream pipeline: the comparison shows what the
-//! overlap costs (or saves) over materialise-then-scan. Both paths sample
+//! incremental` times [`StreamEngine::for_each_round`] — the panicking
+//! wrapper over the production round driver,
+//! [`StreamEngine::for_each_round_supervised`] — feeding a live consumer
+//! (per-chunk event accumulation + per-shot CUSUM updates), i.e. the full
+//! decode-as-you-stream pipeline: the comparison shows what the overlap
+//! costs (or saves) over materialise-then-scan. Both paths sample
 //! bit-identical streams (`tests/golden_stream.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -425,39 +425,6 @@ impl SolveCore {
         flip
     }
 
-    /// Solve a defect pattern from scratch: analytic when eligible, else
-    /// the exact blossom matcher.
-    fn solve_key(&self, key: u128, ctx: &mut Ctx, local: &mut LocalStats) -> bool {
-        if self.tiers.analytic && key.count_ones() <= 2 {
-            if let Some(flip) = self.analytic_flip(key) {
-                local.analytic += 1;
-                return flip;
-            }
-        }
-        self.match_key(key, ctx, local)
-    }
-
-    /// Run the exact blossom matcher on a defect pattern —
-    /// [`matching_flip`], the very routine behind
-    /// [`MwpmDecoder::decode_shot`] (and, through
-    /// [`MwpmDecoder::masked`], behind the masked reference decoder).
-    ///
-    /// [`MwpmDecoder::decode_shot`]: crate::decoder::MwpmDecoder::decode_shot
-    /// [`MwpmDecoder::masked`]: crate::decoder::MwpmDecoder::masked
-    fn match_key(&self, key: u128, ctx: &mut Ctx, local: &mut LocalStats) -> bool {
-        ctx.defects.clear();
-        let mut k = key;
-        while k != 0 {
-            let plane = k.trailing_zeros() as usize;
-            k &= k - 1;
-            // Plane → node under this core's layout; in stab-major order the
-            // ascending plane index reproduces MwpmDecoder::defects order.
-            ctx.defects.push(self.node_of_plane(plane));
-        }
-        local.matchings += 1;
-        matching_flip(&self.graph, &ctx.defects, &mut ctx.arena)
-    }
-
     /// Closed-form flip parity for 1–2-defect patterns, straight from the
     /// detector graph's distance/parity tables.
     ///
@@ -613,13 +580,12 @@ impl BulkDecoder {
         if !self.uses_lut() {
             return;
         }
+        // An unbudgeted context never degrades, so every answer the
+        // cascade gives is exact and lands in the table.
         let mut ctx = Ctx::default();
         let mut discard = LocalStats::default();
         for key in 1..(1u128 << self.core.planes) {
-            if self.core.cache.get(key).is_none() {
-                let flip = self.core.solve_key(key, &mut ctx, &mut discard);
-                self.core.cache.insert(key, flip);
-            }
+            self.core.flip_of_key(key, &mut ctx, &mut discard);
         }
     }
 

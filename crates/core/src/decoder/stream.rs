@@ -1,8 +1,8 @@
 //! [`StreamDecoder`] — the round-by-round detect→decode loop.
 //!
-//! [`StreamEngine::for_each_round`] delivers syndrome rounds the moment
-//! their ops execute; [`SpaceTimeDecoder`] retires them through a sliding
-//! window. This module closes the loop between the two *and* the online
+//! [`StreamEngine::for_each_round_supervised`] delivers syndrome rounds
+//! the moment their ops execute; [`SpaceTimeDecoder`] retires them through
+//! a sliding window. This module closes the loop between the two *and* the online
 //! strike detector: every round slice is
 //!
 //! 1. folded into the chunk's [`EventAccumulator`] (raw rows → detection
@@ -34,19 +34,18 @@
 //! basis) — an **absolute** streaming logical error rate, not a
 //! paired-decoder comparison.
 //!
-//! Retried chunks (the supervised driver re-delivers from round 0) reset
-//! the chunk cell on `slice.round == 0`; chunk streams are deterministic
-//! per chunk index, so a retry reproduces the original decode bit for
-//! bit.
+//! Retried chunks (the round driver re-delivers from round 0) reset the
+//! chunk cell on `slice.round == 0`; chunk streams are deterministic per
+//! chunk index, so a retry reproduces the original decode bit for bit.
 //!
-//! [`StreamEngine::for_each_round`]: crate::streaming::StreamEngine::for_each_round
+//! [`StreamEngine::for_each_round_supervised`]: crate::streaming::StreamEngine::for_each_round_supervised
 //! [`StreamEngineBuilder::final_readout`]: crate::streaming::StreamEngineBuilder::final_readout
 //! [`MemoryReadout::expected`]: crate::codes::MemoryReadout::expected
 
 use super::mask::DecoderMask;
 use super::spacetime::{ReplicaState, SpaceTimeDecoder, SpaceTimeScratch, WindowConfig};
 use super::TierConfig;
-use crate::streaming::{CampaignReport, RoundSlice, StreamEngine, StreamFault, StreamFaultError};
+use crate::streaming::{RoundSlice, StreamEngine, StreamFault};
 use radqec_detect::{
     CountDetectorState, CusumDetector, EventAccumulator, Localizer, OnlineDetector, StrikeMask,
 };
@@ -223,29 +222,17 @@ impl<'e> StreamDecoder<'e> {
     }
 
     /// Stream one campaign through the self-scheduling round driver and
-    /// aggregate the absolute streaming LER.
+    /// aggregate the absolute streaming LER. Panics on an invalid fault or
+    /// a chunk that fails both attempts ([`StreamEngine::for_each_round`]);
+    /// drive [`Self::ingest`] from
+    /// [`StreamEngine::for_each_round_supervised`] to get the campaign
+    /// report instead.
     pub fn run(&self, fault: &StreamFault, noise: &NoiseSpec) -> StreamDecodeReport {
         self.engine.for_each_round(fault, noise, |slice| self.ingest(slice));
         self.report()
     }
 
-    /// [`StreamDecoder::run`] under the supervised driver: chunk panics
-    /// are caught and retried, and the campaign report rides along.
-    pub fn run_supervised(
-        &self,
-        fault: &StreamFault,
-        noise: &NoiseSpec,
-    ) -> Result<(StreamDecodeReport, CampaignReport), StreamFaultError> {
-        let report = self.engine.for_each_round_supervised(
-            fault,
-            noise,
-            |_| false,
-            |slice| self.ingest(slice),
-        )?;
-        Ok((self.report(), report))
-    }
-
-    /// Consume one round slice (the `for_each_round` sink). Safe to call
+    /// Consume one round slice (the round driver's sink). Safe to call
     /// from multiple workers: state is per-chunk behind its own lock, and
     /// rounds of one chunk arrive in order from one worker.
     pub fn ingest(&self, slice: RoundSlice) {

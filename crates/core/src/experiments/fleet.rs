@@ -673,20 +673,33 @@ pub fn score_strikes(
     strikes: &[StrikeEvent],
     per_patch_events: &[Vec<u64>],
 ) -> Vec<StrikeRow> {
+    assemble_strike_rows(cfg, strikes, per_patch_events, |s, baselines| {
+        let window_end = (s.onset_round + cfg.detect_window).min(cfg.rounds);
+        (s.onset_round..window_end).find(|&r| {
+            per_patch_events
+                .iter()
+                .zip(baselines)
+                .any(|(events, &(mu, sd))| events[r] as f64 - mu >= (4.0 * sd).max(2.0))
+        })
+    })
+}
+
+/// The scaffolding both strike scorers share: per-patch quiet baselines,
+/// the recovery rule and the [`StrikeRow`] assembly. `first_alarm` is the
+/// scorer's own alarm computation over a strike and the baselines.
+/// Recovery is the first round from onset where every patch sits at
+/// baseline for `quiet_rounds` consecutive rounds.
+fn assemble_strike_rows(
+    cfg: &FleetConfig,
+    strikes: &[StrikeEvent],
+    per_patch_events: &[Vec<u64>],
+    first_alarm: impl Fn(&StrikeEvent, &[(f64, f64)]) -> Option<usize>,
+) -> Vec<StrikeRow> {
     let baselines = quiet_baselines(cfg, strikes, per_patch_events);
     strikes
         .iter()
         .map(|s| {
-            let window_end = (s.onset_round + cfg.detect_window).min(cfg.rounds);
-            let first_alarm_round = (s.onset_round..window_end).find(|&r| {
-                per_patch_events
-                    .iter()
-                    .zip(&baselines)
-                    .any(|(events, &(mu, sd))| events[r] as f64 - mu >= (4.0 * sd).max(2.0))
-            });
-            let detected = first_alarm_round.is_some();
-            // Recovery: the first round from onset where every patch sits
-            // at baseline for `quiet_rounds` consecutive rounds.
+            let first_alarm_round = first_alarm(s, &baselines);
             let mut recovery_round = None;
             let mut calm = 0usize;
             for r in s.onset_round..cfg.rounds {
@@ -703,7 +716,7 @@ pub fn score_strikes(
             StrikeRow {
                 root: s.root,
                 onset_round: s.onset_round,
-                detected,
+                detected: first_alarm_round.is_some(),
                 first_alarm_round,
                 recovery_round,
                 time_to_recovery_us: recovery_round
@@ -766,53 +779,24 @@ fn score_strikes_online(
     strikes: &[StrikeEvent],
     per_patch_events: &[Vec<u64>],
 ) -> Vec<StrikeRow> {
-    let baselines = quiet_baselines(cfg, strikes, per_patch_events);
-    strikes
-        .iter()
-        .map(|s| {
-            let window_end = (s.onset_round + cfg.detect_window).min(cfg.rounds);
-            // One online gate per patch; the fleet's first alarm is the
-            // earliest any of them raises.
-            let first_alarm_round = per_patch_events
-                .iter()
-                .zip(&baselines)
-                .filter_map(|(events, &(mu, sd))| {
-                    let gate = ThresholdDetector { threshold: (4.0 * sd).max(2.0) };
-                    let mut state = gate.begin();
-                    let post = events.iter().enumerate().take(window_end).skip(s.onset_round);
-                    for (r, &e) in post {
-                        gate.push(&mut state, r, e as f64 - mu);
-                    }
-                    state.alarm_round
-                })
-                .min();
-            let detected = first_alarm_round.is_some();
-            // Recovery: stream the post-onset rounds through the same
-            // calm-run rule the offline scorer applies.
-            let mut recovery_round = None;
-            let mut calm = 0usize;
-            for r in s.onset_round..cfg.rounds {
-                let at_baseline = per_patch_events
-                    .iter()
-                    .zip(&baselines)
-                    .all(|(events, &(mu, sd))| events[r] as f64 <= mu + (2.0 * sd).max(1.0));
-                calm = if at_baseline { calm + 1 } else { 0 };
-                if calm >= cfg.quiet_rounds.max(1) {
-                    recovery_round = Some(r + 1 - calm);
-                    break;
+    assemble_strike_rows(cfg, strikes, per_patch_events, |s, baselines| {
+        let window_end = (s.onset_round + cfg.detect_window).min(cfg.rounds);
+        // One online gate per patch; the fleet's first alarm is the
+        // earliest any of them raises.
+        per_patch_events
+            .iter()
+            .zip(baselines)
+            .filter_map(|(events, &(mu, sd))| {
+                let gate = ThresholdDetector { threshold: (4.0 * sd).max(2.0) };
+                let mut state = gate.begin();
+                let post = events.iter().enumerate().take(window_end).skip(s.onset_round);
+                for (r, &e) in post {
+                    gate.push(&mut state, r, e as f64 - mu);
                 }
-            }
-            StrikeRow {
-                root: s.root,
-                onset_round: s.onset_round,
-                detected,
-                first_alarm_round,
-                recovery_round,
-                time_to_recovery_us: recovery_round
-                    .map(|r| (r - s.onset_round) as f64 * cfg.round_time_us),
-            }
-        })
-        .collect()
+                state.alarm_round
+            })
+            .min()
+    })
 }
 
 /// Run a fleet endurance campaign (see the module docs).

@@ -5,18 +5,18 @@
 
 use crate::codes::{CodeCircuit, CodeSpec};
 use crate::decoder::{Decoder, DecoderKind, DecoderMask};
-use radqec_circuit::Backend;
-use radqec_noise::{
-    run_noisy_shot, ActiveFault, FaultSpec, NoiseSpec, ResetBasis, StreamWorkspace,
-};
-use radqec_stabilizer::{ReferenceTrace, StabilizerBackend};
-use radqec_telemetry::{names, MetricsRegistry};
+pub use crate::sampling::WorkspaceStats;
+use crate::sampling::{tableau_batch, WorkspacePool};
+use radqec_circuit::ShotBatch;
+use radqec_noise::{ActiveFault, FaultSpec, NoiseSpec, ResetBasis};
+use radqec_stabilizer::ReferenceTrace;
+use radqec_telemetry::MetricsRegistry;
 use radqec_topology::{generators::fitting_mesh, Topology};
 use radqec_transpiler::{transpile, TranspileOptions, Transpiled};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// Which Monte-Carlo sampler backs [`InjectionEngine`] shots.
 ///
@@ -164,7 +164,7 @@ impl InjectionEngineBuilder {
             seed: self.seed,
             frame_chunk: self.frame_chunk.unwrap_or_else(|| default_frame_chunk(self.shots)),
             reference: OnceLock::new(),
-            workspaces: Mutex::new(Vec::new()),
+            workspaces: WorkspacePool::default(),
             metrics,
         }
     }
@@ -183,28 +183,12 @@ pub struct InjectionEngine {
     /// Noiseless reference trace for the frame sampler, computed on first
     /// use and shared by every sample/batch of the campaign.
     reference: OnceLock<ReferenceTrace>,
-    /// Pooled per-worker stream workspaces (frame planes, record batches,
-    /// Bernoulli scratch), recycled across chunks, samples and whole
-    /// campaigns — the PR 4 streaming arena ported to the offline engine.
-    /// Re-initialisation replays a fresh buffer's exact draw sequence, so
-    /// pooling never changes a sampled stream.
-    workspaces: Mutex<Vec<StreamWorkspace>>,
+    /// Pooled per-worker stream workspaces, recycled across chunks,
+    /// samples and whole campaigns.
+    workspaces: WorkspacePool,
     /// Per-engine metrics registry — [`Self::workspace_stats`] mirrors
     /// the pool counters into its gauges on read.
     metrics: Arc<MetricsRegistry>,
-}
-
-/// Workspace-pool counters of an [`InjectionEngine`]'s lifetime (see
-/// [`InjectionEngine::workspace_stats`]). Registry-backed: reading the
-/// stats refreshes the `workspace.allocated` / `workspace.reused` gauges
-/// in [`InjectionEngine::metrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkspaceStats {
-    /// Buffer allocations (frame/record/mask) over the engine's lifetime
-    /// — stays flat once the pool is warm.
-    pub allocated: u64,
-    /// Chunk set-ups that reused every pooled buffer.
-    pub reused: u64,
 }
 
 impl InjectionEngine {
@@ -274,7 +258,7 @@ impl InjectionEngine {
         noise: &NoiseSpec,
         sample: usize,
     ) -> f64 {
-        self.logical_error_at_sample_in_basis(fault, noise, sample, ResetBasis::Z)
+        self.error_rate(fault, noise, sample, ResetBasis::Z, None)
     }
 
     /// Like [`Self::logical_error_at_sample`], with an explicit reset basis
@@ -286,12 +270,7 @@ impl InjectionEngine {
         sample: usize,
         basis: ResetBasis,
     ) -> f64 {
-        let active = fault.activate(&self.topology, sample).with_basis(basis);
-        let errors = match self.sampler {
-            SamplerKind::FrameBatch => self.frame_errors_at_sample(&active, noise, sample),
-            SamplerKind::Tableau => self.tableau_errors_at_sample(&active, noise, sample),
-        };
-        errors as f64 / self.shots as f64
+        self.error_rate(fault, noise, sample, basis, None)
     }
 
     /// Strike-aware counterpart of [`Self::logical_error_at_sample`]: the
@@ -308,57 +287,7 @@ impl InjectionEngine {
         sample: usize,
         mask: &DecoderMask,
     ) -> f64 {
-        let active = fault.activate(&self.topology, sample).with_basis(ResetBasis::Z);
-        let errors: usize = match self.sampler {
-            SamplerKind::FrameBatch => {
-                let chunks = self.shots.div_ceil(self.frame_chunk);
-                (0..chunks)
-                    .into_par_iter()
-                    .map(|chunk| {
-                        let batch = self.frame_batch_chunk(&active, noise, sample, chunk);
-                        self.decoder
-                            .decode_batch_masked(&batch, mask)
-                            .into_iter()
-                            .filter(|&ok| !ok)
-                            .count()
-                    })
-                    .sum()
-            }
-            SamplerKind::Tableau => {
-                // Replay per shot, decode as one batch: the masked batch
-                // path resolves the mask's solve context once per call
-                // (per-shot `decode_masked` would take the mask-map lock
-                // per shot across every rayon worker, and the batch tiers
-                // are bit-identical to per-shot decoding anyway).
-                let circuit = &self.transpiled.circuit;
-                let n_phys = self.topology.num_qubits();
-                let records: Vec<_> = (0..self.shots)
-                    .into_par_iter()
-                    .map_init(
-                        || StabilizerBackend::new(n_phys),
-                        |backend, shot| {
-                            let mut rng = StdRng::seed_from_u64(mix_seed(
-                                self.seed,
-                                sample as u64,
-                                shot as u64,
-                            ));
-                            backend.reset_all();
-                            run_noisy_shot(circuit, backend, noise, &active, &mut rng)
-                        },
-                    )
-                    .collect();
-                let mut batch = radqec_circuit::ShotBatch::new(circuit.num_clbits(), self.shots);
-                for (shot, record) in records.iter().enumerate() {
-                    for c in 0..circuit.num_clbits() {
-                        if record.get(c) {
-                            batch.flip(c, shot);
-                        }
-                    }
-                }
-                self.decoder.decode_batch_masked(&batch, mask).into_iter().filter(|&ok| !ok).count()
-            }
-        };
-        errors as f64 / self.shots as f64
+        self.error_rate(fault, noise, sample, ResetBasis::Z, Some(mask))
     }
 
     /// The engine's decoder (for harnesses that decode sampled batches
@@ -368,64 +297,47 @@ impl InjectionEngine {
         self.decoder.as_ref()
     }
 
-    /// Per-shot tableau path: one full CHP replay per shot, with the
-    /// backend allocation reused across each worker's shots.
-    fn tableau_errors_at_sample(
+    /// The one sampling path behind every logical-error estimate: sample
+    /// the shots of temporal sample `sample`, batch-decode them (through
+    /// the reweighting layer when `mask` is set) and count failures.
+    ///
+    /// The frame sampler replays bit-packed Pauli frames — 64 shots per
+    /// word — chunk-parallel against one noiseless reference. The tableau
+    /// oracle replays one CHP tableau per shot and packs the records into
+    /// one batch, so both samplers decode through the same tiered batch
+    /// pipeline (decoders are pure functions of the record, so batch and
+    /// per-shot decoding agree bit for bit).
+    fn error_rate(
         &self,
-        active: &ActiveFault,
+        fault: &FaultSpec,
         noise: &NoiseSpec,
         sample: usize,
-    ) -> usize {
-        let circuit = &self.transpiled.circuit;
-        let n_phys = self.topology.num_qubits();
-        (0..self.shots)
-            .into_par_iter()
-            .map_init(
-                || StabilizerBackend::new(n_phys),
-                |backend, shot| {
-                    let mut rng =
-                        StdRng::seed_from_u64(mix_seed(self.seed, sample as u64, shot as u64));
-                    backend.reset_all();
-                    let record = run_noisy_shot(circuit, backend, noise, active, &mut rng);
-                    usize::from(!self.decoder.decode(&record))
-                },
-            )
-            .sum()
-    }
-
-    /// Frame-batch path: one noiseless reference (computed once per engine),
-    /// then bit-packed Pauli frames — 64 shots per word — plus tiered batch
-    /// decoding against the engine-lifetime syndrome cache.
-    fn frame_errors_at_sample(
-        &self,
-        active: &ActiveFault,
-        noise: &NoiseSpec,
-        sample: usize,
-    ) -> usize {
-        let chunks = self.shots.div_ceil(self.frame_chunk);
-        (0..chunks)
-            .into_par_iter()
-            .map(|chunk| {
-                let batch = self.frame_batch_chunk(active, noise, sample, chunk);
-                self.decoder.decode_batch(&batch).into_iter().filter(|&ok| !ok).count()
-            })
-            .sum()
-    }
-
-    /// Pop a pooled workspace (or start a fresh one). Poison-tolerant: a
-    /// supervised worker panic elsewhere must not wedge the pool (pooled
-    /// workspaces are only ever pushed whole, never half-updated).
-    fn workspace(&self) -> StreamWorkspace {
-        self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_default()
-    }
-
-    /// Return a workspace to the pool (in-flight workspaces — abandoned
-    /// mid-chunk by a panicking worker — are dropped, not pooled).
-    fn pool(&self, ws: StreamWorkspace) {
-        if ws.in_flight() {
-            return;
-        }
-        self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).push(ws);
+        basis: ResetBasis,
+        mask: Option<&DecoderMask>,
+    ) -> f64 {
+        let active = fault.activate(&self.topology, sample).with_basis(basis);
+        let failures = |batch: &ShotBatch| {
+            let ok = match mask {
+                Some(mask) => self.decoder.decode_batch_masked(batch, mask),
+                None => self.decoder.decode_batch(batch),
+            };
+            ok.into_iter().filter(|&ok| !ok).count()
+        };
+        let errors: usize = match self.sampler {
+            SamplerKind::FrameBatch => (0..self.shots.div_ceil(self.frame_chunk))
+                .into_par_iter()
+                .map(|chunk| failures(&self.frame_batch_chunk(&active, noise, sample, chunk)))
+                .sum(),
+            SamplerKind::Tableau => failures(&tableau_batch(
+                &self.transpiled.circuit,
+                self.topology.num_qubits(),
+                noise,
+                &[(0, &active)],
+                self.shots,
+                |shot| mix_seed(self.seed, sample as u64, shot as u64),
+            )),
+        };
+        errors as f64 / self.shots as f64
     }
 
     /// Workspace-pool counters over the engine's lifetime: on a warm pool
@@ -435,14 +347,7 @@ impl InjectionEngine {
     /// mid-flight. Reading mirrors the counts into the engine registry's
     /// `workspace.*` gauges.
     pub fn workspace_stats(&self) -> WorkspaceStats {
-        let pool = self.workspaces.lock().unwrap_or_else(PoisonError::into_inner);
-        let stats = WorkspaceStats {
-            allocated: pool.iter().map(StreamWorkspace::allocations).sum(),
-            reused: pool.iter().map(StreamWorkspace::reuses).sum(),
-        };
-        self.metrics.gauge(names::WORKSPACE_ALLOCATED).set(stats.allocated);
-        self.metrics.gauge(names::WORKSPACE_REUSED).set(stats.reused);
-        stats
+        self.workspaces.stats(&self.metrics)
     }
 
     /// This engine's metrics registry.
@@ -462,7 +367,7 @@ impl InjectionEngine {
         noise: &NoiseSpec,
         sample: usize,
         chunk: usize,
-    ) -> radqec_circuit::ShotBatch {
+    ) -> ShotBatch {
         let circuit = &self.transpiled.circuit;
         let n_phys = self.topology.num_qubits() as usize;
         let reference = self.reference.get_or_init(|| {
@@ -474,10 +379,10 @@ impl InjectionEngine {
             sample as u64,
             chunk as u64,
         ));
-        let mut ws = self.workspace();
+        let mut ws = self.workspaces.take();
         let batch =
             ws.run_chunk(circuit, reference, noise, &[(0, active)], n_phys, width, &mut rng);
-        self.pool(ws);
+        self.workspaces.put(ws);
         batch
     }
 
@@ -491,7 +396,7 @@ impl InjectionEngine {
         fault: &FaultSpec,
         noise: &NoiseSpec,
         sample: usize,
-    ) -> Vec<radqec_circuit::ShotBatch> {
+    ) -> Vec<ShotBatch> {
         let active = fault.activate(&self.topology, sample).with_basis(ResetBasis::Z);
         (0..self.shots.div_ceil(self.frame_chunk))
             .map(|chunk| self.frame_batch_chunk(&active, noise, sample, chunk))
@@ -708,16 +613,52 @@ mod tests {
     #[test]
     fn masked_decoding_with_noop_mask_matches_unaware() {
         use crate::decoder::DecoderMask;
-        let engine =
-            InjectionEngine::builder(RepetitionCode::bit_flip(5).into()).shots(256).seed(8).build();
+        use radqec_circuit::Backend;
+        use radqec_noise::run_noisy_shot;
+        use radqec_stabilizer::StabilizerBackend;
         let fault = FaultSpec::RadiationAtImpact { model: RadiationModel::default(), root: 2 };
         let noise = NoiseSpec::paper_default();
-        let unaware = engine.logical_error_at_sample(&fault, &noise, 0);
-        let noop = DecoderMask::from_probs(vec![0.0; 5], vec![0.0; 4]);
-        let masked = engine.masked_logical_error_at_sample(&fault, &noise, 0, &noop);
-        assert_eq!(masked, unaware, "no-op mask must be bit-identical to unaware decoding");
-        let stats = engine.decoder_stats().unwrap();
-        assert_eq!(stats.mask_contexts, 0, "no-op masks must not intern a context");
+        for sampler in [SamplerKind::FrameBatch, SamplerKind::Tableau] {
+            let engine = InjectionEngine::builder(RepetitionCode::bit_flip(5).into())
+                .shots(256)
+                .seed(8)
+                .sampler(sampler)
+                .build();
+            let unaware = engine.logical_error_at_sample(&fault, &noise, 0);
+            let noop = DecoderMask::from_probs(vec![0.0; 5], vec![0.0; 4]);
+            let masked = engine.masked_logical_error_at_sample(&fault, &noise, 0, &noop);
+            assert_eq!(
+                masked, unaware,
+                "{sampler:?}: no-op mask must be bit-identical to unaware decoding"
+            );
+            let stats = engine.decoder_stats().unwrap();
+            assert_eq!(
+                stats.mask_contexts, 0,
+                "{sampler:?}: no-op masks must not intern a context"
+            );
+            if sampler == SamplerKind::Tableau {
+                // The packed, batch-decoded oracle counts exactly the
+                // failures of a per-shot replay decoded one record at a
+                // time on the same per-shot RNG streams.
+                let active = fault.activate(engine.topology(), 0);
+                let mut backend = StabilizerBackend::new(engine.topology().num_qubits());
+                let failures = (0..engine.shots())
+                    .filter(|&shot| {
+                        let mut rng = StdRng::seed_from_u64(mix_seed(8, 0, shot as u64));
+                        backend.reset_all();
+                        let record = run_noisy_shot(
+                            &engine.transpiled().circuit,
+                            &mut backend,
+                            &noise,
+                            &active,
+                            &mut rng,
+                        );
+                        !engine.decoder().decode(&record)
+                    })
+                    .count();
+                assert_eq!(unaware, failures as f64 / engine.shots() as f64);
+            }
+        }
     }
 
     #[test]

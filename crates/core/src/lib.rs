@@ -43,5 +43,6 @@ pub mod decoder;
 pub mod experiments;
 pub mod injection;
 pub mod logical;
+mod sampling;
 pub mod stats;
 pub mod streaming;

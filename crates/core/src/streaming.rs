@@ -48,29 +48,31 @@
 //!   buffer, so streams stay bit-identical; `tests/golden_stream.rs`).
 //! * **Decode-as-you-stream** — [`StreamEngine::round_stream`] is a
 //!   pull-based iterator that yields each syndrome round the moment its
-//!   ops have executed, and [`StreamEngine::for_each_round`] drives the
-//!   same incremental generator with self-scheduling workers over the
-//!   chunk grid (a work-stealing queue: idle workers pull the next
-//!   unclaimed chunk), overlapping generation of round `r+1` with the
-//!   consumer's processing of round `r`.
+//!   ops have executed, and [`StreamEngine::for_each_round_supervised`]
+//!   drives the same per-round frame step with self-scheduling workers
+//!   over the chunk grid (a work-stealing queue: idle workers pull the
+//!   next unclaimed chunk), overlapping generation of round `r+1` with
+//!   the consumer's processing of round `r`.
 //!   [`StreamEngine::stream_batches`] remains as a thin materialise-all
 //!   adapter over the same executor, so offline callers and the tableau
 //!   oracle path are untouched.
 //!
 //! ## Supervision
 //!
-//! Endurance campaigns (thousands of rounds, see
-//! [`crate::experiments::fleet`]) run on
-//! [`StreamEngine::for_each_round_supervised`], which wraps the same
-//! self-scheduling chunk driver in chunk-level fault isolation: a panic
-//! anywhere in one chunk's generation or sink is caught, the worker's
-//! workspace is quarantined (dropped, never pooled — a poisoned buffer
-//! cannot leak into later chunks), the chunk is retried once on a fresh
-//! workspace, and a second failure becomes a typed [`ChunkFailure`] in
-//! the returned [`CampaignReport`] instead of aborting the campaign.
-//! Chunk generation is deterministic per chunk index, so a clean retry
-//! is bit-identical to a never-failed run; the `skip` filter lets
-//! checkpointed campaigns replay exactly the missing chunks.
+//! [`StreamEngine::for_each_round_supervised`] is the one round driver
+//! (endurance campaigns with thousands of rounds, see
+//! [`crate::experiments::fleet`], and the closed detect→decode loop run
+//! on it). Every chunk runs under fault isolation: a panic anywhere in
+//! one chunk's generation or sink is caught, the worker's workspace is
+//! quarantined (dropped, never pooled — a poisoned buffer cannot leak
+//! into later chunks), the chunk is retried once on a fresh workspace,
+//! and a second failure becomes a typed [`ChunkFailure`] in the returned
+//! [`CampaignReport`] instead of aborting the campaign. Chunk generation
+//! is deterministic per chunk index, so a clean retry is bit-identical to
+//! a never-failed run; the `skip` filter lets checkpointed campaigns
+//! replay exactly the missing chunks. [`StreamEngine::for_each_round`] is
+//! the thin wrapper for callers without a recovery plan: no skips, and a
+//! panic on the first failed chunk.
 //!
 //! [`StreamEngine::stream_stats`] reports rounds generated, chunks stolen
 //! by secondary workers, workspace reuse rates, and the supervision
@@ -83,13 +85,14 @@
 
 use crate::codes::{CodeSpec, MemoryCircuit};
 use crate::injection::{default_frame_chunk, mix_seed, SamplerKind};
-use radqec_circuit::{Backend, Gate, ShotBatch};
+use crate::sampling::{tableau_batch, WorkspacePool};
+use radqec_circuit::{Gate, ShotBatch};
 use radqec_detect::StreamSpec;
 use radqec_noise::{
-    run_noisy_ops_segmented, run_noisy_shot_segmented, temporal_decay, ActiveFault, NoiseSpec,
-    RadiationModel, StreamWorkspace,
+    run_noisy_ops_segmented, temporal_decay, ActiveFault, NoiseSpec, RadiationModel,
+    StreamWorkspace,
 };
-use radqec_stabilizer::{ReferenceTrace, StabilizerBackend};
+use radqec_stabilizer::ReferenceTrace;
 use radqec_telemetry::{
     names, Counter, FlightEvent, FlightRecorder, Histogram, MetricsRegistry, MetricsSnapshot,
     SpanTimer,
@@ -548,7 +551,7 @@ impl StreamEngineBuilder {
             shots: self.shots,
             seed: self.seed,
             frame_chunk: self.frame_chunk.unwrap_or_else(|| default_frame_chunk(self.shots)),
-            workspaces: Mutex::new(Vec::new()),
+            workspaces: WorkspacePool::default(),
             rounds_generated: metrics.counter(names::STREAM_ROUNDS_GENERATED),
             chunks_generated: metrics.counter(names::STREAM_CHUNKS_GENERATED),
             chunks_stolen: metrics.counter(names::STREAM_CHUNKS_STOLEN),
@@ -772,7 +775,7 @@ pub struct StreamEngine {
     seed: u64,
     frame_chunk: usize,
     /// Pooled per-worker workspaces, recycled across chunks and campaigns.
-    workspaces: Mutex<Vec<StreamWorkspace>>,
+    workspaces: WorkspacePool,
     /// The registry behind every counter/histogram handle below —
     /// per-engine by default, shareable via the builder.
     metrics: Arc<MetricsRegistry>,
@@ -854,24 +857,20 @@ impl StreamEngine {
     /// (returned) workspaces, so read them between campaigns, not
     /// mid-flight.
     pub fn stream_stats(&self) -> StreamStats {
-        let pool = self.workspaces.lock().unwrap_or_else(PoisonError::into_inner);
-        let refs = self.ctx.references.lock().unwrap_or_else(PoisonError::into_inner);
         // A thin view over the registry: the counters *live* there (see
         // `radqec_telemetry::names`); pool and cache occupancy are
         // derived on read and mirrored into registry gauges so metric
         // snapshots carry them too.
-        let allocations: u64 = pool.iter().map(StreamWorkspace::allocations).sum();
-        let reuses: u64 = pool.iter().map(StreamWorkspace::reuses).sum();
-        self.metrics.gauge(names::WORKSPACE_ALLOCATED).set(allocations);
-        self.metrics.gauge(names::WORKSPACE_REUSED).set(reuses);
+        let pool = self.workspaces.stats(&self.metrics);
+        let refs = self.ctx.references.lock().unwrap_or_else(PoisonError::into_inner);
         self.metrics.gauge(names::REFERENCE_ENTRIES).set(refs.map.len() as u64);
         self.metrics.gauge(names::REFERENCE_EVICTIONS).set(refs.evictions);
         StreamStats {
             rounds_generated: self.rounds_generated.get(),
             chunks_generated: self.chunks_generated.get(),
             chunks_stolen: self.chunks_stolen.get(),
-            workspace_allocations: allocations,
-            workspace_reuses: reuses,
+            workspace_allocations: pool.allocated,
+            workspace_reuses: pool.reused,
             chunk_retries: self.chunk_retries.get(),
             workspaces_quarantined: self.workspaces_quarantined.get(),
             reference_entries: refs.map.len(),
@@ -921,68 +920,65 @@ impl StreamEngine {
     ) -> Result<Vec<ActiveFault>, StreamFaultError> {
         let rounds = self.ctx.memory.rounds;
         let n = self.ctx.topology.num_qubits() as usize;
-        match fault {
-            StreamFault::None => Ok(vec![ActiveFault::none(n); rounds]),
+        // A lone strike is the one-strike timeline at onset 0 on the
+        // whole-stream clock: the running complement update below keeps
+        // its ladder exactly `T(r / (R−1))·S(d)` (0 + q·1 = q).
+        let lone;
+        let strikes = match fault {
+            StreamFault::None => return Ok(vec![ActiveFault::none(n); rounds]),
             StreamFault::Strike { model, root } => {
-                let event = model
-                    .try_strike(&self.ctx.topology, *root)
-                    .map_err(StreamFaultError::BadRoot)?;
-                let spatial = event.spatial_profile();
-                Ok((0..rounds)
-                    .map(|r| {
-                        let t = r as f64 / (rounds - 1) as f64;
-                        let temporal = temporal_decay(t, model.gamma);
-                        ActiveFault::from_probs(spatial.iter().map(|s| temporal * s).collect())
-                    })
-                    .collect())
+                lone = [StrikeEvent {
+                    model: *model,
+                    root: *root,
+                    onset_round: 0,
+                    decay_rounds: None,
+                }];
+                &lone[..]
             }
-            StreamFault::MultiStrike(multi) => {
-                let mut events = Vec::with_capacity(multi.strikes().len());
-                for strike in multi.strikes() {
-                    if strike.onset_round >= rounds {
-                        return Err(StreamFaultError::OnsetBeyondRounds {
-                            onset: strike.onset_round,
-                            rounds,
-                        });
-                    }
-                    let event = strike
-                        .model
-                        .try_strike(&self.ctx.topology, strike.root)
-                        .map_err(StreamFaultError::BadRoot)?;
-                    events.push((strike, event));
-                }
-                Ok((0..rounds)
-                    .map(|r| {
-                        let mut probs = vec![0.0f64; n];
-                        for (strike, event) in &events {
-                            if r < strike.onset_round {
-                                continue;
-                            }
-                            // Each strike's transient runs on its own
-                            // clock from its onset: `decay_rounds` spans
-                            // the unit time interval when set, the whole
-                            // stream (`R − 1` rounds, the lone-strike
-                            // rate) when not. `Some(0)` is rejected at
-                            // `MultiStrike::try_new`; `.max(1)` keeps a
-                            // hand-rolled event finite regardless.
-                            let span = strike.decay_rounds.unwrap_or(rounds - 1).max(1);
-                            let t = (r - strike.onset_round) as f64 / span as f64;
-                            let temporal = temporal_decay(t, strike.model.gamma);
-                            // Independent reset sources compose as
-                            // complement products; the running update
-                            // `p ← p + q·(1−p)` keeps a lone strike's
-                            // probabilities bit-identical to the
-                            // single-strike arm (0 + q·1 = q exactly).
-                            for (p, s) in probs.iter_mut().zip(event.spatial_profile()) {
-                                let q = temporal * s;
-                                *p += q * (1.0 - *p);
-                            }
-                        }
-                        ActiveFault::from_probs(probs)
-                    })
-                    .collect())
+            StreamFault::MultiStrike(multi) => multi.strikes(),
+        };
+        let mut events = Vec::with_capacity(strikes.len());
+        for strike in strikes {
+            if strike.onset_round >= rounds {
+                return Err(StreamFaultError::OnsetBeyondRounds {
+                    onset: strike.onset_round,
+                    rounds,
+                });
             }
+            let event = strike
+                .model
+                .try_strike(&self.ctx.topology, strike.root)
+                .map_err(StreamFaultError::BadRoot)?;
+            events.push((strike, event));
         }
+        Ok((0..rounds)
+            .map(|r| {
+                let mut probs = vec![0.0f64; n];
+                for (strike, event) in &events {
+                    if r < strike.onset_round {
+                        continue;
+                    }
+                    // Each strike's transient runs on its own clock from
+                    // its onset: `decay_rounds` spans the unit time
+                    // interval when set, the whole stream (`R − 1` rounds,
+                    // the lone-strike rate) when not. `Some(0)` is rejected
+                    // at `MultiStrike::try_new`; `.max(1)` keeps a
+                    // hand-rolled event finite regardless.
+                    let span = strike.decay_rounds.unwrap_or(rounds - 1).max(1);
+                    let t = (r - strike.onset_round) as f64 / span as f64;
+                    let temporal = temporal_decay(t, strike.model.gamma);
+                    // Independent reset sources compose as complement
+                    // products; the running update `p ← p + q·(1−p)` keeps
+                    // a lone strike's probabilities bit-identical to its
+                    // own ladder (0 + q·1 = q exactly).
+                    for (p, s) in probs.iter_mut().zip(event.spatial_profile()) {
+                        let q = temporal * s;
+                        *p += q * (1.0 - *p);
+                    }
+                }
+                ActiveFault::from_probs(probs)
+            })
+            .collect())
     }
 
     /// Number of chunks on the engine's chunk grid.
@@ -995,24 +991,13 @@ impl StreamEngine {
         self.frame_chunk.min(self.shots - chunk * self.frame_chunk)
     }
 
-    /// Pop a pooled workspace (or start a fresh one). The pool lock
-    /// recovers from poisoning — a panicking worker caught by the
-    /// supervisor never pushes its (quarantined) workspace, so a poisoned
-    /// pool still holds only clean entries.
-    fn workspace(&self) -> StreamWorkspace {
-        self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_default()
-    }
-
-    /// Return a workspace to the pool — unless its chunk is still marked
-    /// in flight, in which case its owner abandoned it mid-stream (a
-    /// caught panic) and it is quarantined: dropped here, counted in
-    /// [`StreamStats::workspaces_quarantined`], never reused.
+    /// Return a workspace to the pool; one abandoned mid-chunk is
+    /// quarantined instead and counted in
+    /// [`StreamStats::workspaces_quarantined`].
     fn pool(&self, ws: StreamWorkspace) {
-        if ws.in_flight() {
+        if !self.workspaces.put(ws) {
             self.workspaces_quarantined.inc();
-            return;
         }
-        self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).push(ws);
     }
 
     /// Stream one campaign: every shot's full multi-round record, as
@@ -1024,7 +1009,9 @@ impl StreamEngine {
         let faults = self.round_faults(fault);
         match self.sampler {
             SamplerKind::FrameBatch => self.frame_stream(&faults, noise),
-            SamplerKind::Tableau => self.tableau_stream(&faults, noise),
+            SamplerKind::Tableau => (0..self.num_chunks())
+                .map(|chunk| self.tableau_chunk(chunk, &faults, noise))
+                .collect(),
         }
     }
 
@@ -1088,9 +1075,47 @@ impl StreamEngine {
         }
     }
 
+    /// Open frame chunk `chunk` in `ws`: its deterministic RNG stream
+    /// (identical no matter which worker claims it) and fresh frame/record
+    /// buffers drawn from that stream.
+    fn open_chunk(&self, chunk: usize, ws: &mut StreamWorkspace) -> StdRng {
+        let mut rng = self.chunk_rng(chunk);
+        let n_phys = self.ctx.topology.num_qubits() as usize;
+        ws.begin_chunk(&self.ctx.transpiled.circuit, n_phys, self.chunk_width(chunk), &mut rng);
+        rng
+    }
+
+    /// The per-round frame step both incremental drivers share: execute
+    /// round `round`'s ops of the chunk open in `ws` and return the
+    /// chunk's record, now complete through that round.
+    #[allow(clippy::too_many_arguments)]
+    fn frame_round<'w>(
+        &self,
+        chunk: usize,
+        round: usize,
+        segments: &[(usize, &ActiveFault)],
+        noise: &NoiseSpec,
+        reference: &ReferenceTrace,
+        ws: &'w mut StreamWorkspace,
+        rng: &mut StdRng,
+    ) -> &'w ShotBatch {
+        let (frame, record, mask) = ws.parts(self.chunk_width(chunk).div_ceil(64));
+        run_noisy_ops_segmented(
+            &self.ctx.transpiled.circuit,
+            reference,
+            frame,
+            noise,
+            segments,
+            self.round_ops(round),
+            record,
+            mask,
+            rng,
+        );
+        record
+    }
+
     /// Generate every round of frame chunk `chunk` into `ws`, invoking
-    /// `sink` as each round's ops complete. Returns the finished record
-    /// by leaving it in the workspace (callers clone or slice it).
+    /// `sink` as each round's ops complete.
     fn frame_chunk_rounds(
         &self,
         chunk: usize,
@@ -1100,27 +1125,12 @@ impl StreamEngine {
         ws: &mut StreamWorkspace,
         mut sink: impl FnMut(RoundSlice),
     ) {
-        let circuit = &self.ctx.transpiled.circuit;
-        let n_phys = self.ctx.topology.num_qubits() as usize;
-        let width = self.chunk_width(chunk);
         let segments = self.segments(faults);
-        let mut rng = self.chunk_rng(chunk);
-        ws.begin_chunk(circuit, n_phys, width, &mut rng);
+        let mut rng = self.open_chunk(chunk, ws);
         for r in 0..self.rounds() {
             let round_span = SpanTimer::start(&self.round_ns);
             let generate_span = SpanTimer::start(&self.generate_ns);
-            let (frame, record, mask) = ws.parts(width.div_ceil(64));
-            run_noisy_ops_segmented(
-                circuit,
-                reference,
-                frame,
-                noise,
-                &segments,
-                self.round_ops(r),
-                record,
-                mask,
-                &mut rng,
-            );
+            let record = self.frame_round(chunk, r, &segments, noise, reference, ws, &mut rng);
             generate_span.finish();
             sink(self.round_slice(chunk, r, record));
             round_span.finish();
@@ -1142,7 +1152,7 @@ impl StreamEngine {
                 let width = self.chunk_width(chunk);
                 let segments = self.segments(faults);
                 let mut rng = self.chunk_rng(chunk);
-                let mut ws = self.workspace();
+                let mut ws = self.workspaces.take();
                 let batch =
                     ws.run_chunk(circuit, &reference, noise, &segments, n_phys, width, &mut rng);
                 self.rounds_generated.add(self.rounds() as u64);
@@ -1153,40 +1163,17 @@ impl StreamEngine {
             .collect()
     }
 
-    fn tableau_stream(&self, faults: &[ActiveFault], noise: &NoiseSpec) -> Vec<ShotBatch> {
-        (0..self.num_chunks()).map(|chunk| self.tableau_chunk(chunk, faults, noise)).collect()
-    }
-
     /// One tableau-oracle chunk: per-shot CHP replay (shot-parallel).
     fn tableau_chunk(&self, chunk: usize, faults: &[ActiveFault], noise: &NoiseSpec) -> ShotBatch {
-        let circuit = &self.ctx.transpiled.circuit;
-        let n_phys = self.ctx.topology.num_qubits();
-        let segments = self.segments(faults);
-        let width = self.chunk_width(chunk);
-        let records: Vec<_> = (0..width)
-            .into_par_iter()
-            .map_init(
-                || StabilizerBackend::new(n_phys),
-                |backend, shot| {
-                    let global = chunk * self.frame_chunk + shot;
-                    let mut rng = StdRng::seed_from_u64(mix_seed(
-                        self.seed ^ 0x57E4_0000_0000_0002,
-                        0,
-                        global as u64,
-                    ));
-                    backend.reset_all();
-                    run_noisy_shot_segmented(circuit, backend, noise, &segments, &mut rng)
-                },
-            )
-            .collect();
-        let mut batch = ShotBatch::new(circuit.num_clbits(), width);
-        for (shot, record) in records.iter().enumerate() {
-            for c in 0..circuit.num_clbits() {
-                if record.get(c) {
-                    batch.flip(c, shot);
-                }
-            }
-        }
+        let first = chunk * self.frame_chunk;
+        let batch = tableau_batch(
+            &self.ctx.transpiled.circuit,
+            self.ctx.topology.num_qubits(),
+            noise,
+            &self.segments(faults),
+            self.chunk_width(chunk),
+            |shot| mix_seed(self.seed ^ 0x57E4_0000_0000_0002, 0, (first + shot) as u64),
+        );
         self.rounds_generated.add(self.rounds() as u64);
         self.chunks_generated.inc();
         batch
@@ -1208,11 +1195,34 @@ impl StreamEngine {
                 SamplerKind::FrameBatch => Some(self.ctx.reference(self.reference_seed())),
                 SamplerKind::Tableau => None,
             },
-            ws: self.workspace(),
+            ws: self.workspaces.take(),
             rng: StdRng::seed_from_u64(0),
             tableau_batch: None,
             chunk: 0,
             round: 0,
+        }
+    }
+
+    /// [`StreamEngine::for_each_round_supervised`] without a skip filter,
+    /// for callers that treat any failure as fatal: panics on an invalid
+    /// fault (the [`StreamFaultError`] text, as
+    /// [`StreamEngine::round_faults`] does) and, after the campaign, on
+    /// the first chunk that failed both attempts (the [`ChunkFailure`]
+    /// text), so a broken sink stays loud. A sink that panics once is
+    /// retried, so its stream is bit-identical to a clean run's — which
+    /// means sinks must reset per-chunk state on `slice.round == 0`.
+    ///
+    /// Frame sampler only — the tableau oracle materialises per shot, so
+    /// its round feed goes through [`StreamEngine::round_stream`].
+    pub fn for_each_round<F>(&self, fault: &StreamFault, noise: &NoiseSpec, sink: F)
+    where
+        F: Fn(RoundSlice) + Sync,
+    {
+        let report = self
+            .for_each_round_supervised(fault, noise, |_| false, sink)
+            .unwrap_or_else(|e| panic!("{e}"));
+        if let Some(failure) = report.failures.first() {
+            panic!("{failure}");
         }
     }
 
@@ -1224,56 +1234,12 @@ impl StreamEngine {
     /// `r`. Rounds of one chunk arrive in order from one worker; rounds
     /// of different chunks interleave arbitrarily.
     ///
-    /// Frame sampler only — the tableau oracle materialises per shot, so
-    /// its round feed goes through [`StreamEngine::round_stream`].
-    pub fn for_each_round<F>(&self, fault: &StreamFault, noise: &NoiseSpec, sink: F)
-    where
-        F: Fn(RoundSlice) + Sync,
-    {
-        assert_eq!(
-            self.sampler,
-            SamplerKind::FrameBatch,
-            "for_each_round drives the frame sampler; use round_stream for the oracle"
-        );
-        let faults = self.round_faults(fault);
-        let reference = self.ctx.reference(self.reference_seed());
-        let chunks = self.num_chunks();
-        let next = AtomicUsize::new(0);
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(chunks);
-        let run_worker = |worker: usize| {
-            let mut ws = self.workspace();
-            let mut claimed = 0u64;
-            loop {
-                let chunk = next.fetch_add(1, Ordering::Relaxed);
-                if chunk >= chunks {
-                    break;
-                }
-                claimed += 1;
-                self.frame_chunk_rounds(chunk, &faults, noise, &reference, &mut ws, &sink);
-            }
-            if worker > 0 {
-                self.chunks_stolen.add(claimed);
-            }
-            self.pool(ws);
-        };
-        if workers <= 1 {
-            run_worker(0);
-        } else {
-            std::thread::scope(|scope| {
-                for worker in 0..workers {
-                    let run_worker = &run_worker;
-                    scope.spawn(move || run_worker(worker));
-                }
-            });
-        }
-    }
-
-    /// [`StreamEngine::for_each_round`] with chunk-level fault isolation:
-    /// a panic anywhere inside one chunk's generation or `sink` calls is
-    /// caught, the worker's workspace is quarantined (dropped, never
-    /// pooled), and the chunk is retried once on a fresh workspace before
-    /// being recorded as a [`ChunkFailure`] — one poisoned chunk costs its
-    /// own shots, not the campaign.
+    /// Every chunk runs under fault isolation: a panic anywhere inside one
+    /// chunk's generation or `sink` calls is caught, the worker's
+    /// workspace is quarantined (dropped, never pooled), and the chunk is
+    /// retried once on a fresh workspace before being recorded as a
+    /// [`ChunkFailure`] — one poisoned chunk costs its own shots, not the
+    /// campaign.
     ///
     /// A retried chunk **re-delivers its rounds from round 0**: sinks must
     /// reset any per-chunk accumulation when `slice.round == 0` (the
@@ -1312,7 +1278,7 @@ impl StreamEngine {
         let failures: Mutex<Vec<ChunkFailure>> = Mutex::new(Vec::new());
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(chunks);
         let run_worker = |worker: usize| {
-            let mut ws = Some(self.workspace());
+            let mut ws = Some(self.workspaces.take());
             let mut claimed = 0u64;
             loop {
                 let chunk = next.fetch_add(1, Ordering::Relaxed);
@@ -1427,24 +1393,16 @@ impl Iterator for RoundStream<'_> {
         }
         let slice = match &self.reference {
             Some(reference) => {
-                let circuit = &engine.ctx.transpiled.circuit;
-                let width = engine.chunk_width(self.chunk);
                 if self.round == 0 {
-                    self.rng = engine.chunk_rng(self.chunk);
-                    let n_phys = engine.ctx.topology.num_qubits() as usize;
-                    self.ws.begin_chunk(circuit, n_phys, width, &mut self.rng);
+                    self.rng = engine.open_chunk(self.chunk, &mut self.ws);
                 }
-                let segments = engine.segments(&self.faults);
-                let (frame, record, mask) = self.ws.parts(width.div_ceil(64));
-                run_noisy_ops_segmented(
-                    circuit,
-                    reference,
-                    frame,
+                let record = engine.frame_round(
+                    self.chunk,
+                    self.round,
+                    &engine.segments(&self.faults),
                     &self.noise,
-                    &segments,
-                    engine.round_ops(self.round),
-                    record,
-                    mask,
+                    reference,
+                    &mut self.ws,
                     &mut self.rng,
                 );
                 engine.rounds_generated.inc();
@@ -1839,6 +1797,11 @@ mod tests {
         acc.as_mut().expect("round 0 arrives first").push_round(slice.round, slice.syndrome_rows());
     }
 
+    /// The text of the panic `f` raises (`None` when it returns).
+    fn panic_text(f: impl FnOnce()) -> Option<String> {
+        catch_unwind(AssertUnwindSafe(f)).err().map(panic_message)
+    }
+
     #[test]
     fn supervised_driver_retries_a_panicking_chunk_and_stays_bit_identical() {
         let engine = StreamEngine::builder(RepetitionCode::bit_flip(5).into(), 6)
@@ -1850,46 +1813,50 @@ mod tests {
         let noise = NoiseSpec::paper_default();
         let batches = engine.stream_batches(&fault, &noise);
         let spec = engine.stream_spec();
-        let accs = retry_safe_accs(batches.len());
-        let tripped = std::sync::atomic::AtomicBool::new(false);
-        let report = engine
-            .for_each_round_supervised(
-                &fault,
-                &noise,
-                |_| false,
-                |slice| {
-                    // One mid-chunk panic: the chunk's workspace is in
-                    // flight when the worker dies.
-                    if slice.chunk == 2
-                        && slice.round == 1
-                        && !tripped.swap(true, Ordering::Relaxed)
-                    {
-                        panic!("injected chunk fault");
-                    }
-                    accumulate(&accs, spec, &slice);
-                },
-            )
-            .unwrap();
-        assert!(report.is_clean(), "retry must clear the fault: {:?}", report.failures);
-        assert_eq!(report.chunks_completed, batches.len() as u64);
-        assert_eq!(report.chunks_skipped, 0);
-        assert_eq!(report.chunk_retries, 1);
-        assert_eq!(report.workspaces_quarantined, 1);
-        for (chunk, (batch, acc)) in batches.iter().zip(accs).enumerate() {
-            let incremental = acc
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("chunk delivered")
-                .finish();
-            assert_eq!(
-                incremental,
-                EventStream::extract(batch, spec),
-                "chunk {chunk}: retried campaign diverged from the clean stream"
-            );
+        // Both entry points: the supervised driver itself and the
+        // `for_each_round` wrapper over it, which must absorb a
+        // once-panicking sink just as silently.
+        for wrapped in [false, true] {
+            let accs = retry_safe_accs(batches.len());
+            let tripped = std::sync::atomic::AtomicBool::new(false);
+            let sink = |slice: RoundSlice| {
+                // One mid-chunk panic: the chunk's workspace is in flight
+                // when the worker dies.
+                if slice.chunk == 2 && slice.round == 1 && !tripped.swap(true, Ordering::Relaxed) {
+                    panic!("injected chunk fault");
+                }
+                accumulate(&accs, spec, &slice);
+            };
+            let before = engine.stream_stats();
+            if wrapped {
+                engine.for_each_round(&fault, &noise, sink);
+            } else {
+                let report =
+                    engine.for_each_round_supervised(&fault, &noise, |_| false, sink).unwrap();
+                assert!(report.is_clean(), "retry must clear the fault: {:?}", report.failures);
+                assert_eq!(report.chunks_completed, batches.len() as u64);
+                assert_eq!(report.chunks_skipped, 0);
+                assert_eq!(report.chunk_retries, 1);
+                assert_eq!(report.workspaces_quarantined, 1);
+            }
+            assert!(tripped.into_inner(), "the injected fault fired");
+            for (chunk, (batch, acc)) in batches.iter().zip(accs).enumerate() {
+                let incremental = acc
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("chunk delivered")
+                    .finish();
+                assert_eq!(
+                    incremental,
+                    EventStream::extract(batch, spec),
+                    "chunk {chunk} (wrapped: {wrapped}): retried campaign diverged from the \
+                     clean stream"
+                );
+            }
+            let stats = engine.stream_stats();
+            assert_eq!(stats.chunk_retries - before.chunk_retries, 1);
+            assert_eq!(stats.workspaces_quarantined - before.workspaces_quarantined, 1);
         }
-        let stats = engine.stream_stats();
-        assert_eq!(stats.chunk_retries, 1);
-        assert_eq!(stats.workspaces_quarantined, 1);
     }
 
     #[test]
@@ -1900,18 +1867,13 @@ mod tests {
             .frame_chunk(64)
             .build();
         let noise = NoiseSpec::paper_default();
-        let report = engine
-            .for_each_round_supervised(
-                &StreamFault::None,
-                &noise,
-                |_| false,
-                |slice| {
-                    if slice.chunk == 1 {
-                        panic!("chunk {} always dies", slice.chunk);
-                    }
-                },
-            )
-            .unwrap();
+        let dies = |slice: RoundSlice| {
+            if slice.chunk == 1 {
+                panic!("chunk {} always dies", slice.chunk);
+            }
+        };
+        let report =
+            engine.for_each_round_supervised(&StreamFault::None, &noise, |_| false, dies).unwrap();
         assert_eq!(
             report.failures,
             vec![ChunkFailure { chunk: 1, attempts: 2, message: "chunk 1 always dies".into() }]
@@ -1921,11 +1883,27 @@ mod tests {
         assert_eq!(report.chunk_retries, 1, "one retry, then the chunk is given up");
         assert_eq!(report.workspaces_quarantined, 2);
         assert!(report.failures[0].to_string().contains("after 2 attempts"));
-        // Typed fault validation still runs before any worker starts.
+        // The unsupervised wrapper runs the same campaign, then panics with
+        // the failed chunk's message instead of returning a report.
+        assert_eq!(
+            panic_text(|| engine.for_each_round(&StreamFault::None, &noise, dies)),
+            Some(report.failures[0].to_string())
+        );
+        // Typed fault validation still runs before any worker starts; the
+        // wrapper turns it into `round_faults`' panic text.
         let model = RadiationModel::default();
         let n = engine.topology().num_qubits();
         let bad = StreamFault::Strike { model, root: n + 3 };
-        assert!(engine.for_each_round_supervised(&bad, &noise, |_| false, |_| {}).is_err());
+        let err = engine.for_each_round_supervised(&bad, &noise, |_| false, |_| {}).unwrap_err();
+        assert_eq!(
+            panic_text(|| engine.for_each_round(&bad, &noise, |_| {})),
+            Some(err.to_string())
+        );
+        assert_eq!(
+            panic_text(|| drop(engine.round_faults(&bad))),
+            Some(err.to_string()),
+            "same text as the panicking ladder builder"
+        );
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //!
 //! | BENCH field | registry metric | recorded by |
 //! |---|---|---|
-//! | `round_latency_us_p50` / `_p99` | `stream.round_ns` | `StreamEngine::for_each_round` (generation + sink per chunk-round) |
+//! | `round_latency_us_p50` / `_p99` | `stream.round_ns` | `StreamEngine::for_each_round_supervised`, the round driver `for_each_round` wraps (generation + sink per chunk-round) |
 //! | `generate_latency_us_p50` / `_p99` | `stage.generate_ns` | `StreamEngine` executor span per chunk-round |
 //! | `extract_latency_us_p99` | `stage.extract_ns` | bench pipeline's `EventAccumulator::push_round` span |
 //! | `detect_latency_us_p99` | `stage.detect_ns` | bench pipeline's detector-push span |
