@@ -8,28 +8,37 @@
 //! [`MwpmDecoder::decode_shot`], so [`BulkDecoder`] is bit-identical to
 //! [`MwpmDecoder`] on every record (enforced exhaustively for LUT-eligible
 //! codes and property-tested otherwise in `tests/decoder_tiers.rs`).
+//! There is one decode path: the per-shot entry points
+//! ([`Decoder::decode`], [`Decoder::decode_masked`]) copy the record into
+//! a one-shot batch and run the same bit-plane pipeline as
+//! [`Decoder::decode_batch`], so tier accounting and the decode budget are
+//! those of a batch of one.
 //!
 //! Strike-aware decoding adds a second axis: a [`DecoderMask`] reweights
 //! the detector graph inside a struck region, which changes `flip` — so
 //! each distinct mask (keyed by its quantised integer edge weights) interns
-//! its own [`SolveCore`]: a reweighted graph plus a private syndrome
-//! LUT/cache. Warm-path throughput survives because a sweep reuses a
-//! handful of mask keys, each with its own fully warmed cache, and a no-op
-//! mask takes the unmasked path outright (`tests/strike_aware_decoding.rs`
-//! pins both the tier bit-identity per mask and the no-op handoff).
+//! its own solve context: a reweighted graph plus a private syndrome
+//! LUT/cache, held in the crate's one LRU interning table (the same one
+//! behind the space-time decoder's window contexts and the stream
+//! engine's reference traces). Warm-path throughput survives because a
+//! sweep reuses a handful of mask keys, each with its own fully warmed
+//! cache, and a no-op mask takes the unmasked path outright
+//! (`tests/strike_aware_decoding.rs` pins both the tier bit-identity per
+//! mask and the no-op handoff).
 
 use crate::codes::CodeCircuit;
 use crate::decoder::cache::{SyndromeCache, DEFAULT_CACHE_CAPACITY, LUT_MAX_BITS};
 use crate::decoder::graph::DetectorGraph;
-use crate::decoder::mask::DecoderMask;
-use crate::decoder::mwpm::{extract_defects, matching_flip, weight_of};
+use crate::decoder::mask::{DecoderMask, WeightKey};
+use crate::decoder::mwpm::{extract_defects, matching_walk, weight_of};
 use crate::decoder::Decoder;
+use crate::intern::InternTable;
 use radqec_circuit::{ShotBatch, ShotRecord};
 use radqec_matching::MatchingArena;
-use radqec_telemetry::{names, Counter, Histogram, MetricsRegistry, SpanTimer};
+use radqec_telemetry::{names, Counter, Gauge, Histogram, MetricsRegistry, SpanTimer};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default per-shot decode deadline (see [`TierConfig::deadline`]): three
@@ -54,8 +63,8 @@ pub const DEFAULT_MASK_CAPACITY: usize = 64;
 /// [`DecoderStats::degraded`]), which may differ on ≥ 4-defect syndromes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
-    /// Exhaustive direct-indexed lookup table for codes with at most
-    /// [`LUT_MAX_BITS`] detector bits (lazily filled; decode = one index).
+    /// Exhaustive direct-indexed lookup table for codes with at most 16
+    /// detector bits (lazily filled; decode = one index).
     pub lut: bool,
     /// Closed-form 1–2-defect solves straight from [`DetectorGraph`]
     /// distances (exact-tie cases still fall through to the matcher).
@@ -218,14 +227,6 @@ pub(crate) struct Ctx {
     spent: Duration,
 }
 
-impl Ctx {
-    /// Split-borrow the arena and defect buffer (the space-time decoder's
-    /// window solves feed the arena a closure over the defect list).
-    pub(crate) fn parts(&mut self) -> (&mut MatchingArena, &mut Vec<usize>) {
-        (&mut self.arena, &mut self.defects)
-    }
-}
-
 /// How a `u128` defect key's bit index maps onto detector-graph nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PlaneOrder {
@@ -349,14 +350,19 @@ impl SolveCore {
     /// fallback once the budget is spent. Returns `(flip, exact)`; only
     /// exact answers may be cached.
     fn heavy_flip(&self, key: u128, ctx: &mut Ctx, local: &mut LocalStats) -> (bool, bool) {
-        ctx.defects.clear();
+        self.load_defects(key, &mut ctx.defects);
+        self.heavy_flip_defects(ctx, local)
+    }
+
+    /// Replace `defects` with the nodes of `key`'s set bits, in ascending
+    /// bit order under this core's layout.
+    pub(crate) fn load_defects(&self, key: u128, defects: &mut Vec<usize>) {
+        defects.clear();
         let mut k = key;
         while k != 0 {
-            let plane = k.trailing_zeros() as usize;
+            defects.push(self.node_of_plane(k.trailing_zeros() as usize));
             k &= k - 1;
-            ctx.defects.push(self.node_of_plane(plane));
         }
-        self.heavy_flip_defects(ctx, local)
     }
 
     /// Budget gate over an explicit defect list already in `ctx.defects`
@@ -364,23 +370,18 @@ impl SolveCore {
     /// `u128` key). Blossom runs are timed and charged against the
     /// budget, so one pathological solve cannot be followed by another.
     fn heavy_flip_defects(&self, ctx: &mut Ctx, local: &mut LocalStats) -> (bool, bool) {
-        match ctx.budget {
-            None => {
-                local.matchings += 1;
-                (matching_flip(&self.graph, &ctx.defects, &mut ctx.arena), true)
-            }
-            Some(budget) if ctx.spent >= budget => {
-                local.degraded += 1;
-                (self.greedy_flip(&ctx.defects), false)
-            }
-            Some(_) => {
-                let start = Instant::now();
-                local.matchings += 1;
-                let flip = matching_flip(&self.graph, &ctx.defects, &mut ctx.arena);
-                ctx.spent += start.elapsed();
-                (flip, true)
-            }
+        if ctx.budget.is_some_and(|budget| ctx.spent >= budget) {
+            local.degraded += 1;
+            return (self.greedy_flip(&ctx.defects), false);
         }
+        // Only a budgeted call pays for the clock reads.
+        let start = ctx.budget.map(|_| Instant::now());
+        local.matchings += 1;
+        let flip = matching_walk(&self.graph, &ctx.defects, usize::MAX, &mut ctx.arena).0;
+        if let Some(start) = start {
+            ctx.spent += start.elapsed();
+        }
+        (flip, true)
     }
 
     /// Deterministic greedy matching — the graceful-degradation answer
@@ -457,30 +458,6 @@ impl SolveCore {
     }
 }
 
-/// Mask-context key: the quantised integer edge weights of a
-/// [`DecoderMask`] (see [`DecoderMask::weight_key`]).
-type MaskKey = (Vec<u32>, Vec<u32>);
-
-/// One interned mask context with its LRU access stamp.
-struct MaskSlot {
-    core: Arc<SolveCore>,
-    stamp: u64,
-}
-
-/// The bounded mask-context table: interned [`SolveCore`]s keyed by
-/// quantised edge weights, capped at [`TierConfig::mask_capacity`] by
-/// exact least-recently-used eviction. An evicted context's `Arc` keeps
-/// any in-flight batch alive until it finishes; re-interning rebuilds the
-/// same pure function, so eviction never changes decode results.
-#[derive(Default)]
-struct MaskContexts {
-    map: HashMap<MaskKey, MaskSlot>,
-    /// Monotonic access counter stamping slots for LRU.
-    tick: u64,
-    /// Contexts dropped by the ceiling so far.
-    evictions: u64,
-}
-
 /// Tiered bulk decoder, bit-identical to [`MwpmDecoder`].
 ///
 /// [`Decoder::decode_batch`] extracts defect bit-planes straight from the
@@ -490,7 +467,7 @@ struct MaskContexts {
 /// rayon chunk and temporal sample of the owning engine.
 ///
 /// [`Decoder::decode_batch_masked`] runs the same pipeline against an
-/// interned per-mask [`SolveCore`] (reweighted graph + private cache);
+/// interned per-mask solve context (reweighted graph + private cache);
 /// no-op masks hand off to the unmasked path bit-identically.
 ///
 /// [`MwpmDecoder`]: crate::decoder::MwpmDecoder
@@ -500,14 +477,18 @@ pub struct BulkDecoder {
     cbits_round2: Vec<u32>,
     readout_cbit: u32,
     name: String,
-    /// Interned mask contexts, keyed by quantised edge weights — the
-    /// mask-keyed cache dimension. Shared by every batch of the engine,
-    /// bounded by [`TierConfig::mask_capacity`].
-    masked: Mutex<MaskContexts>,
+    /// Interned mask contexts, keyed by quantised edge weights
+    /// ([`DecoderMask::weight_key`]) — the mask-keyed cache dimension.
+    /// Shared by every batch of the engine, LRU-capped at
+    /// [`TierConfig::mask_capacity`]; re-interning an evicted key rebuilds
+    /// the same pure function, so eviction never changes decode results.
+    masked: InternTable<WeightKey, SolveCore>,
     /// Per-decoder metrics registry (the `decode.*` family), shareable
     /// via [`Self::try_with_tiers_metrics`].
     metrics: Arc<MetricsRegistry>,
     stats: StatCells,
+    /// Occupancy gauges mirrored on every [`Decoder::decode_stats`] read.
+    gauges: [Arc<Gauge>; 4],
 }
 
 impl BulkDecoder {
@@ -551,8 +532,15 @@ impl BulkDecoder {
             cbits_round2: code.primary_stabilizers().iter().map(|s| s.cbit_round2).collect(),
             readout_cbit: code.readout_cbit,
             name: format!("mwpm[{}]", code.name),
-            masked: Mutex::new(MaskContexts::default()),
+            masked: InternTable::new(tiers.mask_capacity),
             stats: StatCells::new(&metrics),
+            gauges: [
+                names::DECODE_CACHE_ENTRIES,
+                names::DECODE_CACHE_EVICTIONS,
+                names::DECODE_MASK_CONTEXTS,
+                names::DECODE_MASK_EVICTIONS,
+            ]
+            .map(|name| metrics.gauge(name)),
             metrics,
         })
     }
@@ -591,51 +579,34 @@ impl BulkDecoder {
 
     /// Resolve the solve context of `mask`: `None` for a no-op mask (the
     /// unmasked path answers, bit-identically to unaware decoding), an
-    /// interned per-weight-key [`SolveCore`] otherwise. Interning counts
-    /// as a mask-cache hit when the key was already present; admitting a
-    /// new key past [`TierConfig::mask_capacity`] evicts the
-    /// least-recently-used context first. The lock recovers from poisoning
-    /// (a supervised worker panic mid-decode must not wedge the table for
-    /// the rest of the campaign — the map holds only interned pure
-    /// functions, which cannot be left half-updated).
+    /// interned per-weight-key [`SolveCore`] otherwise (see
+    /// [`InternTable`] for the LRU and race rules). A key already present
+    /// on first lookup counts as a mask-cache hit.
     fn masked_core(&self, mask: &DecoderMask) -> Option<Arc<SolveCore>> {
         if mask.is_noop() {
             return None;
         }
         let key = mask.weight_key();
-        let mut ctxs = self.masked.lock().unwrap_or_else(PoisonError::into_inner);
-        ctxs.tick += 1;
-        let tick = ctxs.tick;
-        if let Some(slot) = ctxs.map.get_mut(&key) {
-            slot.stamp = tick;
+        if let Some(core) = self.masked.get(&key) {
             self.stats.mask_hits.inc();
-            return Some(slot.core.clone());
+            return Some(core);
         }
-        if ctxs.map.len() >= self.core.tiers.mask_capacity {
-            if let Some(oldest) =
-                ctxs.map.iter().min_by_key(|(_, slot)| slot.stamp).map(|(k, _)| k.clone())
-            {
-                ctxs.map.remove(&oldest);
-                ctxs.evictions += 1;
-            }
-        }
-        let core = Arc::new(SolveCore::new(mask.reweight(&self.core.graph), self.core.tiers));
-        ctxs.map.insert(key, MaskSlot { core: core.clone(), stamp: tick });
-        Some(core)
+        let core = SolveCore::new(mask.reweight(&self.core.graph), self.core.tiers);
+        Some(self.masked.insert(key, core))
     }
 
-    /// Defect bit pattern of a single record: bit `2i` = round-1 syndrome
-    /// of primary stabilizer `i`, bit `2i+1` = round-1/round-2 difference.
-    #[inline]
-    fn key_of_record(&self, shot: &ShotRecord) -> u128 {
-        let mut key = 0u128;
-        for i in 0..self.core.graph.primary_count() {
-            let s1 = shot.get(self.cbits_round1[i]);
-            let s2 = shot.get(self.cbits_round2[i]);
-            key |= (s1 as u128) << (2 * i);
-            key |= ((s1 != s2) as u128) << (2 * i + 1);
+    /// Decode one record against `core` through the batch pipeline, as a
+    /// one-shot batch of the bits this decoder reads. Per-shot calls
+    /// record no `stage.decode_ns` span.
+    fn decode_one(&self, shot: &ShotRecord, core: &SolveCore) -> bool {
+        let mut batch = ShotBatch::new(shot.len() as u32, 1);
+        let read = self.cbits_round1.iter().chain(&self.cbits_round2);
+        for &c in read.chain([&self.readout_cbit]) {
+            if shot.get(c) {
+                batch.flip(c, 0);
+            }
         }
-        key
+        self.decode_batch_in(&batch, core)[0]
     }
 
     /// Batch path for codes wider than the 128-bit defect key (P > 64
@@ -697,9 +668,9 @@ impl BulkDecoder {
     /// concurrent chunk may have solved it since pass one), run the
     /// blossom matcher otherwise (analytic already declined in pass one),
     /// and scatter the flip to every waiting shot. Tier accounting
-    /// matches the per-shot path exactly: the group's solving shot counts
-    /// towards the solving tier, every other shot counts as a cache hit —
-    /// which is what each would have been under immediate solving.
+    /// matches immediate solving ([`SolveCore::flip_of_key`]) exactly: the
+    /// group's solving shot counts towards the solving tier, every other
+    /// shot counts as a cache hit.
     fn solve_deferred(
         &self,
         pending: HashMap<u128, Vec<usize>>,
@@ -733,42 +704,6 @@ impl BulkDecoder {
                 }
             }
         }
-    }
-
-    /// Decode one record against `core` (the per-shot path shared by the
-    /// unmasked and masked entry points).
-    fn decode_in(&self, shot: &ShotRecord, core: &SolveCore) -> bool {
-        let raw = shot.get(self.readout_cbit);
-        let mut local = LocalStats { shots: 1, ..Default::default() };
-        let mut ctx = core.budget_ctx(1);
-        let v = if core.planes > 128 {
-            // Wider than the u128 key (P > 64 primary stabilizers): decode
-            // via the defect list directly; batch decoding still dedupes
-            // (see `decode_batch_wide`).
-            extract_defects(
-                &core.graph,
-                &self.cbits_round1,
-                &self.cbits_round2,
-                shot,
-                &mut ctx.defects,
-            );
-            if ctx.defects.is_empty() {
-                local.trivial += 1;
-                raw
-            } else {
-                raw ^ core.heavy_flip_defects(&mut ctx, &mut local).0
-            }
-        } else {
-            let key = self.key_of_record(shot);
-            if key == 0 {
-                local.trivial += 1;
-                raw
-            } else {
-                raw ^ core.flip_of_key(key, &mut ctx, &mut local)
-            }
-        };
-        self.flush(local);
-        v
     }
 
     /// Decode a batch against `core` — the bit-plane bulk pipeline shared
@@ -859,7 +794,7 @@ impl BulkDecoder {
 
 impl Decoder for BulkDecoder {
     fn decode(&self, shot: &ShotRecord) -> bool {
-        self.decode_in(shot, &self.core)
+        self.decode_one(shot, &self.core)
     }
 
     fn name(&self) -> &str {
@@ -869,14 +804,14 @@ impl Decoder for BulkDecoder {
     /// Bulk path: bit-plane defect extraction (64 shots per word op), then
     /// the tier cascade per shot — no per-shot [`ShotRecord`]. Codes wider
     /// than the 128-bit key decode per record with a per-batch
-    /// syndrome-keyed memo ([`Self::decode_batch_wide`]).
+    /// syndrome-keyed memo.
     ///
     /// In sharded-cache mode the *miss path* runs deferred: pass one
     /// resolves trivial, analytic and cache-hit shots inline (the warm
     /// steady state stays untouched) and groups cache *misses* by
     /// distinct defect pattern; pass two solves each distinct missed
     /// pattern with at most one blossom matching and scatters the flip to
-    /// every shot of the group ([`Self::solve_deferred`]). A cold
+    /// every shot of the group. A cold
     /// radiation-impact batch repeats the same heavy syndromes across
     /// many shots, so this collapses its matcher work to one solve per
     /// *distinct* syndrome per batch instead of racing per-shot solves.
@@ -889,7 +824,7 @@ impl Decoder for BulkDecoder {
     /// interned reweighted context (no-op masks take the unaware path).
     fn decode_masked(&self, shot: &ShotRecord, mask: &DecoderMask) -> bool {
         match self.masked_core(mask) {
-            Some(core) => self.decode_in(shot, &core),
+            Some(core) => self.decode_one(shot, &core),
             None => self.decode(shot),
         }
     }
@@ -910,12 +845,7 @@ impl Decoder for BulkDecoder {
     /// A thin view over the `decode.*` registry counters (plus cache and
     /// mask-table occupancy, derived on read and mirrored into gauges).
     fn decode_stats(&self) -> Option<DecoderStats> {
-        let ctxs = self.masked.lock().unwrap_or_else(PoisonError::into_inner);
-        self.metrics.gauge("decode.cache_entries").set(self.core.cache.len() as u64);
-        self.metrics.gauge("decode.cache_evictions").set(self.core.cache.evictions());
-        self.metrics.gauge("decode.mask_contexts").set(ctxs.map.len() as u64);
-        self.metrics.gauge("decode.mask_evictions").set(ctxs.evictions);
-        Some(DecoderStats {
+        let stats = DecoderStats {
             shots: self.stats.shots.get(),
             trivial: self.stats.trivial.get(),
             cache_hits: self.stats.cache_hits.get(),
@@ -924,10 +854,16 @@ impl Decoder for BulkDecoder {
             degraded: self.stats.degraded.get(),
             cache_evictions: self.core.cache.evictions(),
             cache_entries: self.core.cache.len(),
-            mask_contexts: ctxs.map.len(),
+            mask_contexts: self.masked.len(),
             mask_hits: self.stats.mask_hits.get(),
-            mask_evictions: ctxs.evictions,
-        })
+            mask_evictions: self.masked.evictions(),
+        };
+        let [entries, evictions, contexts, mask_evictions] = &self.gauges;
+        entries.set(stats.cache_entries as u64);
+        evictions.set(stats.cache_evictions);
+        contexts.set(stats.mask_contexts as u64);
+        mask_evictions.set(stats.mask_evictions);
+        Some(stats)
     }
 }
 
@@ -938,6 +874,18 @@ mod tests {
     use crate::decoder::MwpmDecoder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Defect bit pattern of a record in the bulk plane layout: bit `2i`
+    /// = round-1 syndrome of primary stabilizer `i`, bit `2i+1` =
+    /// round-1/round-2 difference.
+    fn key_of(code: &CodeCircuit, shot: &ShotRecord) -> u128 {
+        let mut key = 0u128;
+        for (i, s) in code.primary_stabilizers().iter().enumerate() {
+            let (s1, s2) = (shot.get(s.cbit_round1), shot.get(s.cbit_round2));
+            key |= (s1 as u128) << (2 * i) | ((s1 != s2) as u128) << (2 * i + 1);
+        }
+        key
+    }
 
     fn random_record(nc: u32, rng: &mut StdRng) -> ShotRecord {
         let mut r = ShotRecord::new(nc);
@@ -1007,7 +955,7 @@ mod tests {
         for _ in 0..50 {
             let shot = random_record(code.circuit.num_clbits(), &mut rng);
             let _ = bulk.decode(&shot);
-            if bulk.key_of_record(&shot) != 0 {
+            if key_of(&code, &shot) != 0 {
                 n_nontrivial += 1;
             }
         }
@@ -1106,6 +1054,19 @@ mod tests {
             stats.shots,
             stats.trivial + stats.cache_hits + stats.analytic + stats.matchings + stats.degraded
         );
+        // Per-shot decoding of the same shots on a fresh decoder: each
+        // call is a one-shot batch whose memo starts empty, so every
+        // non-trivial shot runs its own matching.
+        let fresh = BulkDecoder::new(&code);
+        for s in 0..90 {
+            let record = batch.record(s);
+            assert_eq!(fresh.decode(&record), mwpm.decode(&record), "per-shot shot {s}");
+        }
+        let stats = fresh.decode_stats().unwrap();
+        assert_eq!(stats.shots, 90);
+        assert_eq!(stats.trivial, 30);
+        assert_eq!(stats.matchings, 60);
+        assert_eq!(stats.cache_hits, 0);
     }
 
     #[test]
@@ -1189,7 +1150,7 @@ mod tests {
                     shot.set(code.stabilizers[i].cbit_round2, true);
                 }
             }
-            let key = degraded.key_of_record(&shot);
+            let key = key_of(&code, &shot);
             if key != 0 && degraded.core.analytic_flip(key).is_none() {
                 // Exact tie between the two matchings: the blossom
                 // tie-break is not contractual, so skip.

@@ -43,6 +43,10 @@ pub const MASK_BASE_WEIGHT: u32 = 16;
 /// shrink logarithmically as the strike probability rises towards 1.
 pub const MASK_REF_PROB: f64 = 0.01;
 
+/// A mask's quantised integer edge weights ([`DecoderMask::weight_key`]),
+/// the key masked solve contexts are interned under.
+pub(crate) type WeightKey = (Vec<u32>, Vec<u32>);
+
 /// A strike mask in the decoder's frame (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecoderMask {

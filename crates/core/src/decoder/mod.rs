@@ -40,8 +40,8 @@
 //!    approximately-LRU map from defect pattern to `flip`, shared across
 //!    batches, rayon chunks and temporal samples of a campaign.
 //! 5. **Blossom fallback** — anything still unanswered runs the exact
-//!    matcher via the same [`matching_flip`](MwpmDecoder) core
-//!    `MwpmDecoder` uses, with a scratch arena
+//!    matcher through the same matching walk (`matching_walk`)
+//!    [`MwpmDecoder`] uses, with a scratch arena
 //!    ([`radqec_matching::MatchingArena`]) so repeated solves stop
 //!    allocating; the result populates the LUT/cache.
 //!
@@ -67,8 +67,11 @@
 //! # Exactness argument
 //!
 //! Tiers 2 and 4 only ever *store* values computed by tiers 3/5. Tier 5
-//! **is** `MwpmDecoder`'s matching routine (same defect ordering, same
-//! weight function, same arena-backed matcher — shared code, not a copy).
+//! **is** `MwpmDecoder`'s matching routine: same defect ordering, same
+//! weight function, same arena-backed matcher and the same walk from
+//! matches to readout parity — one function, not a copy (the space-time
+//! decoder's mid-stream window solves run it too, with a commit boundary
+//! where tier 5 commits every node).
 //! Tier 3 enumerates the full matching polytope for ≤ 2 defects and defers
 //! ties. Hence every tier computes the same function and
 //! `BulkDecoder::decode == MwpmDecoder::decode` on every record; the

@@ -100,20 +100,30 @@ pub(crate) fn boundary_weight(g: &DetectorGraph, a: usize) -> i64 {
     d as i64 * TIE_SCALE + tie_eps(1 << 60 | (a % g.primary_count()) as u64)
 }
 
-/// Readout-flip parity the minimum-weight matching of `defects` implies —
-/// the exact core of [`MwpmDecoder::decode_shot`], factored out so the
-/// tiered [`BulkDecoder`](crate::decoder::BulkDecoder) provably computes
-/// the same function (it calls this very routine for its fallback tier and
-/// for populating its lookup table and cache).
+/// The minimum-weight matching of `defects`, walked into readout-flip
+/// parity — the exact core of [`MwpmDecoder::decode_shot`], the tiered
+/// [`BulkDecoder`](crate::decoder::BulkDecoder)'s blossom tier and the
+/// space-time decoder's mid-stream window solves, so all of them provably
+/// compute the same function.
+///
+/// Defects at nodes `< commit` are *committed*: their boundary matches and
+/// pairs contribute crossing parity to the flip (a pair once, however
+/// many of its ends are committed). Defects at nodes `≥ commit` are
+/// *tentative*: a tentative defect paired with a committed one is
+/// consumed, every other tentative defect survives, returned as a
+/// node bitmask (tentative nodes must be `< 128`). Whole-shot and offline
+/// solves pass `commit = usize::MAX` — every node committed, no
+/// survivors.
 ///
 /// Matches on the canonically perturbed weights ([`pair_weight`]), so
 /// degenerate optima resolve the same way in every solver that shares
-/// this routine *and* in the sliding-window decoder's mid-stream solves.
-pub(crate) fn matching_flip(
+/// this routine, windowed or whole-history.
+pub(crate) fn matching_walk(
     g: &DetectorGraph,
     defects: &[usize],
+    commit: usize,
     arena: &mut MatchingArena,
-) -> bool {
+) -> (bool, u128) {
     let boundary = g.boundary();
     let matches = arena.match_defects(
         defects.len(),
@@ -121,14 +131,34 @@ pub(crate) fn matching_flip(
         |a| boundary_weight(g, defects[a]),
     );
     let mut flip = false;
+    // Tentative defects consumed by a committed partner, by defect index
+    // (only set when a tentative node exists, so ≤ 128 defects).
+    let mut consumed = 0u128;
     for (a, m) in matches.iter().enumerate() {
+        let na = defects[a];
+        if na >= commit {
+            continue;
+        }
         match *m {
-            DefectMatch::Boundary => flip ^= g.crossing_parity(defects[a], boundary),
-            DefectMatch::Peer(b) if b > a => flip ^= g.pair_crossing_parity(defects[a], defects[b]),
-            DefectMatch::Peer(_) => {} // counted once from the lower index
+            DefectMatch::Boundary => flip ^= g.crossing_parity(na, boundary),
+            DefectMatch::Peer(b) => {
+                let nb = defects[b];
+                if nb >= commit {
+                    consumed |= 1u128 << b;
+                } else if b < a {
+                    continue; // committed pair, counted from the lower index
+                }
+                flip ^= g.pair_crossing_parity(na, nb);
+            }
         }
     }
-    flip
+    let mut survivors = 0u128;
+    for (a, &node) in defects.iter().enumerate() {
+        if node >= commit && consumed >> a & 1 == 0 {
+            survivors |= 1u128 << node;
+        }
+    }
+    (flip, survivors)
 }
 
 /// Push `shot`'s defect nodes onto `out` in the canonical order every
@@ -205,8 +235,9 @@ impl MwpmDecoder {
         &self.graph
     }
 
-    /// Extract defect nodes from a shot (see [`extract_defects`] for the
-    /// detector semantics and the canonical ordering).
+    /// Extract defect nodes from a shot: ascending primary stabilizer,
+    /// round 0 before round 1 — the canonical order every decoder and tier
+    /// shares.
     pub fn defects(&self, shot: &ShotRecord) -> Vec<usize> {
         let mut defects = Vec::new();
         extract_defects(&self.graph, &self.cbits_round1, &self.cbits_round2, shot, &mut defects);
@@ -220,7 +251,7 @@ impl MwpmDecoder {
         if defects.is_empty() {
             return raw;
         }
-        raw ^ matching_flip(&self.graph, &defects, &mut MatchingArena::new())
+        raw ^ matching_walk(&self.graph, &defects, usize::MAX, &mut MatchingArena::new()).0
     }
 }
 

@@ -47,9 +47,13 @@
 //! `(window layers, mask)` pair, so warm windows decode from a table
 //! lookup. Mid-stream windows (which must also report *survivors*, not
 //! just a flip) memoise full outcomes per defect pattern in a per-context
-//! map; both paths share one [`MatchingArena`] per scratch. Masked
-//! contexts are LRU-capped at [`TierConfig::mask_capacity`], mirroring the
-//! bulk decoder's mask-keyed context cache.
+//! map; both paths share one [`MatchingArena`] per scratch, and the
+//! mixed commit/tentative solves walk their matching through the same
+//! routine as the bulk decoder's blossom tier (`matching_walk`, with the
+//! commit boundary where the bulk tier commits every node). Contexts are
+//! interned in the crate's one LRU table (`InternTable`, the same one
+//! behind the bulk decoder's mask contexts): unmasked ones uncapped by
+//! layer count, masked ones LRU-capped at [`TierConfig::mask_capacity`].
 //!
 //! Mid-stream window solves are exact and unbudgeted: the window bounds
 //! the matching size by construction (`W · P` nodes), so the decode
@@ -61,11 +65,11 @@
 
 use super::bulk::{Ctx, LocalStats, SolveCore, StatCells};
 use super::graph::DetectorGraph;
-use super::mask::DecoderMask;
-use super::mwpm::{boundary_weight, pair_weight};
+use super::mask::{DecoderMask, WeightKey};
+use super::mwpm::matching_walk;
 use super::TierConfig;
 use crate::codes::MemoryCircuit;
-use radqec_matching::DefectMatch;
+use crate::intern::InternTable;
 use radqec_telemetry::MetricsRegistry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -128,23 +132,6 @@ struct WindowContext {
     memo: Mutex<HashMap<u128, WindowOutcome>>,
 }
 
-/// LRU-stamped context slot.
-struct ContextSlot {
-    ctx: Arc<WindowContext>,
-    stamp: u64,
-}
-
-/// Context key: window layer count plus the mask's quantised weight key
-/// (`None` = unmasked).
-type ContextKey = (usize, Option<(Vec<u32>, Vec<u32>)>);
-
-#[derive(Default)]
-struct ContextMap {
-    map: HashMap<ContextKey, ContextSlot>,
-    tick: u64,
-    mask_evictions: u64,
-}
-
 /// Per-replica (per-shot) streaming state: the running flip, the pending
 /// defect set, and the window base. Create with
 /// [`SpaceTimeDecoder::begin`]; drive with `push_round`; close with
@@ -193,7 +180,12 @@ pub struct SpaceTimeDecoder {
     detector_rounds: usize,
     cfg: WindowConfig,
     tiers: TierConfig,
-    contexts: Mutex<ContextMap>,
+    /// Unmasked solve contexts by window layer count (at most two live:
+    /// `W` and the final remainder), kept for the decoder's lifetime.
+    unmasked: InternTable<usize, WindowContext>,
+    /// Masked solve contexts by `(layers, mask weight key)`, LRU-capped
+    /// at [`TierConfig::mask_capacity`].
+    masked: InternTable<(usize, WeightKey), WindowContext>,
     stats: StatCells,
 }
 
@@ -230,7 +222,8 @@ impl SpaceTimeDecoder {
             detector_rounds,
             cfg,
             tiers,
-            contexts: Mutex::new(ContextMap::default()),
+            unmasked: InternTable::uncapped(),
+            masked: InternTable::new(tiers.mask_capacity),
             stats: StatCells::new(metrics),
         }
     }
@@ -435,8 +428,9 @@ impl SpaceTimeDecoder {
         outcome
     }
 
-    /// The exact matcher over a mixed commit/tentative window, walking
-    /// the matching into finalized parity + survivors.
+    /// The exact matcher over a mixed commit/tentative window, walked
+    /// into finalized parity + survivors by the shared
+    /// [`matching_walk`].
     fn match_window(
         &self,
         wctx: &WindowContext,
@@ -444,113 +438,38 @@ impl SpaceTimeDecoder {
         commit_nodes: usize,
         scratch: &mut SpaceTimeScratch,
     ) -> WindowOutcome {
-        let g = wctx.core.graph();
-        let boundary = g.boundary();
-        let (arena, defects) = scratch.ctx.parts();
-        defects.clear();
-        let mut bits = key;
-        while bits != 0 {
-            let node = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            defects.push(node);
-        }
+        let ctx = &mut scratch.ctx;
+        wctx.core.load_defects(key, &mut ctx.defects);
         scratch.local.matchings += 1;
-        let matches = arena.match_defects(
-            defects.len(),
-            |a, b| pair_weight(g, defects[a], defects[b]),
-            |a| boundary_weight(g, defects[a]),
-        );
-        let mut flip = false;
-        // Tentative defects consumed by a commit-region partner, by
-        // defect index (≤ 128 defects fit the window key).
-        let mut consumed = 0u128;
-        for (a, m) in matches.iter().enumerate() {
-            let na = defects[a];
-            if na >= commit_nodes {
-                continue;
-            }
-            match *m {
-                DefectMatch::Boundary => flip ^= g.crossing_parity(na, boundary),
-                DefectMatch::Peer(b) => {
-                    let nb = defects[b];
-                    if nb < commit_nodes {
-                        // Commit–commit pairs appear twice; count once.
-                        if b > a {
-                            flip ^= g.pair_crossing_parity(na, nb);
-                        }
-                    } else {
-                        flip ^= g.pair_crossing_parity(na, nb);
-                        consumed |= 1u128 << b;
-                    }
-                }
-            }
-        }
-        let mut survivors = 0u128;
-        for (a, &node) in defects.iter().enumerate() {
-            if node >= commit_nodes && consumed >> a & 1 == 0 {
-                survivors |= 1u128 << node;
-            }
-        }
+        let (flip, survivors) =
+            matching_walk(wctx.core.graph(), &ctx.defects, commit_nodes, &mut ctx.arena);
         WindowOutcome { flip, survivors }
     }
 
-    /// Intern (or fetch) the solve context of `(layers, mask)`. Unmasked
-    /// contexts persist for the decoder's lifetime (there are at most two
-    /// live layer counts: `W` and the final remainder); masked contexts
-    /// are LRU-evicted past [`TierConfig::mask_capacity`].
+    /// Intern (or fetch) the solve context of `(layers, mask)`; a no-op
+    /// mask shares the unmasked context.
     fn context(&self, layers: usize, mask: Option<&DecoderMask>) -> Arc<WindowContext> {
-        let mask = mask.filter(|m| !m.is_noop());
-        let key: ContextKey = (layers, mask.map(DecoderMask::weight_key));
-        {
-            let mut cm = self.contexts.lock().unwrap_or_else(PoisonError::into_inner);
-            cm.tick += 1;
-            let tick = cm.tick;
-            if let Some(slot) = cm.map.get_mut(&key) {
-                slot.stamp = tick;
-                return slot.ctx.clone();
+        let build = |mask: Option<&DecoderMask>| {
+            let mut graph = DetectorGraph::space_time(
+                &self.data_qubits,
+                &self.supports,
+                &self.readout_support,
+                layers,
+            );
+            if let Some(m) = mask {
+                graph = m.reweight(&graph);
             }
+            WindowContext { core: SolveCore::window(graph, self.tiers), memo: Mutex::default() }
+        };
+        match mask.filter(|m| !m.is_noop()) {
+            None => self.unmasked.get_or_build(layers, || build(None)),
+            Some(m) => self.masked.get_or_build((layers, m.weight_key()), || build(Some(m))),
         }
-        // Build outside the lock (graph APSP is the slow part); last
-        // writer wins on a race, costing only a duplicate build.
-        let mut graph = DetectorGraph::space_time(
-            &self.data_qubits,
-            &self.supports,
-            &self.readout_support,
-            layers,
-        );
-        if let Some(m) = mask {
-            graph = m.reweight(&graph);
-        }
-        let built = Arc::new(WindowContext {
-            core: SolveCore::window(graph, self.tiers),
-            memo: Mutex::new(HashMap::new()),
-        });
-        let mut cm = self.contexts.lock().unwrap_or_else(PoisonError::into_inner);
-        cm.tick += 1;
-        let tick = cm.tick;
-        if key.1.is_some() {
-            let masked = cm.map.iter().filter(|(k, _)| k.1.is_some()).count();
-            if masked >= self.tiers.mask_capacity {
-                if let Some(oldest) = cm
-                    .map
-                    .iter()
-                    .filter(|(k, _)| k.1.is_some())
-                    .min_by_key(|(_, slot)| slot.stamp)
-                    .map(|(k, _)| k.clone())
-                {
-                    cm.map.remove(&oldest);
-                    cm.mask_evictions += 1;
-                }
-            }
-        }
-        cm.map.entry(key).or_insert(ContextSlot { ctx: built, stamp: tick }).ctx.clone()
     }
 
     /// Live solve contexts `(unmasked, masked)` — test/telemetry hook.
     pub fn context_counts(&self) -> (usize, usize) {
-        let cm = self.contexts.lock().unwrap_or_else(PoisonError::into_inner);
-        let masked = cm.map.keys().filter(|k| k.1.is_some()).count();
-        (cm.map.len() - masked, masked)
+        (self.unmasked.len(), self.masked.len())
     }
 }
 

@@ -663,7 +663,7 @@ fn quiet_baselines(
 /// Score the strike timeline against per-patch per-round event counts —
 /// the **offline reference**: a whole-campaign batch pass over the
 /// merged chunk records. Production scoring goes through
-/// [`score_strikes_online`]; the tests pin the two row-for-row equal on
+/// `score_strikes_online`; the tests pin the two row-for-row equal on
 /// a clean campaign. The spike gate thresholds the baseline-subtracted
 /// residual (`events − µ ≥ max(4σ, 2)`), exactly the comparison
 /// [`ThresholdDetector`] applies per push, so the two paths cannot drift

@@ -15,10 +15,9 @@
 //!   gain (perfect localization);
 //! * **detected** — the closed loop: a multi-round syndrome stream of the
 //!   same strike is run through the spatial clusterer
-//!   ([`Localizer`](radqec_detect::Localizer)) on the code's native
-//!   embedding, the modal root estimate is mapped back into the offline
-//!   device frame, and the mask is planted there — localization error and
-//!   all.
+//!   ([`radqec_detect::Localizer`]) on the code's native embedding, the
+//!   modal root estimate is mapped back into the offline device frame,
+//!   and the mask is planted there — localization error and all.
 //!
 //! Masks decay with the event: at sample `t_k` the mask is scaled by
 //! `T(t_k)`, so late samples quantise to the no-op mask and decode on the

@@ -42,6 +42,7 @@ pub mod codes;
 pub mod decoder;
 pub mod experiments;
 pub mod injection;
+mod intern;
 pub mod logical;
 mod sampling;
 pub mod stats;

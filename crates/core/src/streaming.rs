@@ -25,11 +25,13 @@
 //! * **frame batch** — the memory circuit is replayed as bit-packed Pauli
 //!   frames against one extended [`ReferenceTrace`], with the evolving
 //!   fault expressed as a piecewise-constant segment timeline
-//!   ([`run_noisy_batch_segmented`]); per-round exactness properties are
-//!   identical to the offline sampler's (see `radqec_stabilizer`);
+//!   ([`radqec_noise::run_noisy_batch_segmented`]); per-round exactness
+//!   properties are identical to the offline sampler's (see
+//!   `radqec_stabilizer`);
 //! * **tableau** — per-shot CHP replay through
-//!   [`run_noisy_shot_segmented`]: exact everywhere, the oracle
-//!   `tests/round_stream_equivalence.rs` validates the frame path against.
+//!   [`radqec_noise::run_noisy_shot_segmented`]: exact everywhere, the
+//!   oracle `tests/round_stream_equivalence.rs` validates the frame path
+//!   against.
 //!
 //! ## The streaming hot path
 //!
@@ -85,6 +87,7 @@
 
 use crate::codes::{CodeSpec, MemoryCircuit};
 use crate::injection::{default_frame_chunk, mix_seed, SamplerKind};
+use crate::intern::InternTable;
 use crate::sampling::{tableau_batch, WorkspacePool};
 use radqec_circuit::{Gate, ShotBatch};
 use radqec_detect::StreamSpec;
@@ -103,7 +106,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -280,20 +282,6 @@ enum HostKind {
 /// fleet actually cycles through warm.
 const REFERENCE_CACHE_CAP: usize = 8;
 
-/// One cached reference trace with its LRU access stamp.
-struct RefSlot {
-    trace: Arc<ReferenceTrace>,
-    stamp: u64,
-}
-
-/// The bounded per-seed reference-trace cache of a [`StreamContext`].
-#[derive(Default)]
-struct RefCache {
-    map: HashMap<u64, RefSlot>,
-    tick: u64,
-    evictions: u64,
-}
-
 /// The one-time artefacts of a `(code, rounds, host)` streaming target:
 /// assembled memory experiment, transpiled physical circuit, round
 /// markers, stream layout, and the per-seed noiseless reference traces.
@@ -307,8 +295,8 @@ struct StreamContext {
     stream_spec: StreamSpec,
     /// Reference traces keyed by their derived seed (engines with
     /// different master seeds need different reference randomisations),
-    /// capped at [`REFERENCE_CACHE_CAP`] entries.
-    references: Mutex<RefCache>,
+    /// LRU-capped at [`REFERENCE_CACHE_CAP`] entries.
+    references: InternTable<u64, ReferenceTrace>,
 }
 
 impl StreamContext {
@@ -349,50 +337,34 @@ impl StreamContext {
             transpiled,
             round_starts,
             stream_spec,
-            references: Mutex::new(RefCache::default()),
+            references: InternTable::new(REFERENCE_CACHE_CAP),
         }
     }
 
     /// The noiseless reference trace for `seed`, computed once per
     /// (context, seed) and shared by every chunk, campaign and engine.
-    /// Admitting a seed past [`REFERENCE_CACHE_CAP`] evicts the
-    /// least-recently-used trace (re-requesting it recomputes the same
-    /// deterministic trace, so eviction never changes streams). The lock
-    /// recovers from poisoning: the cache holds only finished immutable
-    /// traces, so a worker panic cannot leave it half-updated.
+    /// Interned in the crate's LRU table: admitting a seed past
+    /// [`REFERENCE_CACHE_CAP`] evicts the least-recently-used trace, and
+    /// re-requesting it recomputes the same deterministic trace, so
+    /// eviction never changes streams.
     fn reference(&self, seed: u64) -> Arc<ReferenceTrace> {
-        let mut refs = self.references.lock().unwrap_or_else(PoisonError::into_inner);
-        refs.tick += 1;
-        let tick = refs.tick;
-        if let Some(slot) = refs.map.get_mut(&seed) {
-            slot.stamp = tick;
-            return slot.trace.clone();
-        }
-        if refs.map.len() >= REFERENCE_CACHE_CAP {
-            if let Some(oldest) =
-                refs.map.iter().min_by_key(|(_, slot)| slot.stamp).map(|(&k, _)| k)
-            {
-                refs.map.remove(&oldest);
-                refs.evictions += 1;
-            }
-        }
-        let trace = Arc::new(ReferenceTrace::compute(
-            &self.transpiled.circuit,
-            self.topology.num_qubits() as usize,
-            seed,
-        ));
-        refs.map.insert(seed, RefSlot { trace: trace.clone(), stamp: tick });
-        trace
+        self.references.get_or_build(seed, || {
+            ReferenceTrace::compute(
+                &self.transpiled.circuit,
+                self.topology.num_qubits() as usize,
+                seed,
+            )
+        })
     }
 }
 
 /// Context-cache key: `(code, rounds, final readout, host kind)`.
 type ContextKey = (CodeSpec, usize, bool, HostKind);
 
-/// Process-wide stream-context cache (see [`StreamContext`]).
-fn context_cache() -> &'static Mutex<HashMap<ContextKey, Arc<StreamContext>>> {
-    static CACHE: OnceLock<Mutex<HashMap<ContextKey, Arc<StreamContext>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// Process-wide stream-context cache (see [`StreamContext`]), uncapped.
+fn context_cache() -> &'static InternTable<ContextKey, StreamContext> {
+    static CACHE: OnceLock<InternTable<ContextKey, StreamContext>> = OnceLock::new();
+    CACHE.get_or_init(InternTable::uncapped)
 }
 
 /// Fluent configuration for [`StreamEngine`].
@@ -500,45 +472,20 @@ impl StreamEngineBuilder {
     /// process-wide context cache (one transpile per `(code, rounds,
     /// host)` target); custom topologies/placements build privately.
     pub fn build(self) -> StreamEngine {
-        let ctx = match self.host {
-            HostKind::Custom => Arc::new(StreamContext::build(
+        let build = || {
+            StreamContext::build(
                 self.spec,
                 self.rounds,
                 self.final_readout,
                 self.topology,
                 self.initial_layout,
                 &self.transpile_opts,
-            )),
-            host => {
-                let key = (self.spec, self.rounds, self.final_readout, host);
-                let cached = context_cache()
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get(&key)
-                    .cloned();
-                match cached {
-                    Some(ctx) => ctx,
-                    None => {
-                        // Build outside the lock (transpilation is the slow
-                        // part); last writer wins on a race, which only
-                        // costs a duplicate build.
-                        let ctx = Arc::new(StreamContext::build(
-                            self.spec,
-                            self.rounds,
-                            self.final_readout,
-                            self.topology,
-                            self.initial_layout,
-                            &self.transpile_opts,
-                        ));
-                        context_cache()
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .entry(key)
-                            .or_insert(ctx)
-                            .clone()
-                    }
-                }
-            }
+            )
+        };
+        let ctx = match self.host {
+            HostKind::Custom => Arc::new(build()),
+            host => context_cache()
+                .get_or_build((self.spec, self.rounds, self.final_readout, host), build),
         };
         // Resolve every metric handle once here: the hot path bumps the
         // returned `Arc<Counter>`s directly and never touches the
@@ -862,9 +809,10 @@ impl StreamEngine {
         // derived on read and mirrored into registry gauges so metric
         // snapshots carry them too.
         let pool = self.workspaces.stats(&self.metrics);
-        let refs = self.ctx.references.lock().unwrap_or_else(PoisonError::into_inner);
-        self.metrics.gauge(names::REFERENCE_ENTRIES).set(refs.map.len() as u64);
-        self.metrics.gauge(names::REFERENCE_EVICTIONS).set(refs.evictions);
+        let (reference_entries, reference_evictions) =
+            (self.ctx.references.len(), self.ctx.references.evictions());
+        self.metrics.gauge(names::REFERENCE_ENTRIES).set(reference_entries as u64);
+        self.metrics.gauge(names::REFERENCE_EVICTIONS).set(reference_evictions);
         StreamStats {
             rounds_generated: self.rounds_generated.get(),
             chunks_generated: self.chunks_generated.get(),
@@ -873,8 +821,8 @@ impl StreamEngine {
             workspace_reuses: pool.reused,
             chunk_retries: self.chunk_retries.get(),
             workspaces_quarantined: self.workspaces_quarantined.get(),
-            reference_entries: refs.map.len(),
-            reference_evictions: refs.evictions,
+            reference_entries,
+            reference_evictions,
         }
     }
 
@@ -1244,7 +1192,7 @@ impl StreamEngine {
     /// A retried chunk **re-delivers its rounds from round 0**: sinks must
     /// reset any per-chunk accumulation when `slice.round == 0` (the
     /// natural shape for per-chunk consumers anyway). Chunk generation is
-    /// deterministic per chunk index ([`StreamEngine::chunk_rng`]), so the
+    /// deterministic per chunk index (one RNG stream per chunk), so the
     /// retry replays identical shots and a clean retry is bit-identical to
     /// a never-failed run.
     ///

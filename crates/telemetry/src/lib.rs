@@ -102,6 +102,14 @@ pub mod names {
     pub const DECODE_DEGRADED: &str = "decode.degraded";
     /// Mask-context cache hits (counter).
     pub const DECODE_MASK_HITS: &str = "decode.mask_hits";
+    /// Syndromes held by the unmasked LUT/cache (gauge, set by `decode_stats`).
+    pub const DECODE_CACHE_ENTRIES: &str = "decode.cache_entries";
+    /// Sharded syndrome-cache evictions (gauge, set by `decode_stats`).
+    pub const DECODE_CACHE_EVICTIONS: &str = "decode.cache_evictions";
+    /// Interned mask contexts (gauge, set by `decode_stats`).
+    pub const DECODE_MASK_CONTEXTS: &str = "decode.mask_contexts";
+    /// Mask contexts evicted by the LRU ceiling (gauge, set by `decode_stats`).
+    pub const DECODE_MASK_EVICTIONS: &str = "decode.mask_evictions";
 
     /// Online detector alarms raised (counter).
     pub const DETECT_ALARMS: &str = "detect.alarms";
