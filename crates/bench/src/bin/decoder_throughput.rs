@@ -18,14 +18,13 @@
 //!     [--shots N] [--seed N] [--reps N]
 //! ```
 
-use radqec_bench::{arg_flag, percentile_fields_us, telemetry_snapshot};
+use radqec_bench::{arg_flag, time_samples, Report, Row};
 use radqec_circuit::ShotBatch;
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
 use radqec_core::decoder::{BulkDecoder, Decoder, MwpmDecoder, TierConfig};
 use radqec_core::injection::{InjectionEngine, SamplerKind};
 use radqec_noise::{FaultSpec, NoiseSpec, RadiationModel};
 use radqec_telemetry::{names, MetricsRegistry};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -105,32 +104,11 @@ fn time_decode(
     (shots * reps) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// End-to-end engine throughput at sample 0 (the sampler_throughput
-/// protocol: one warm-up, then `reps` timed samples).
-fn time_end_to_end(
-    w: &Workload,
-    sampler: SamplerKind,
-    shots: usize,
-    seed: u64,
-    reps: usize,
-) -> (f64, f64) {
-    let engine = InjectionEngine::builder(w.spec).shots(shots).seed(seed).sampler(sampler).build();
-    let _ = engine.logical_error_at_sample(&w.fault, &w.noise, 0);
-    let start = Instant::now();
-    let mut rate = 0.0;
-    for _ in 0..reps {
-        rate = engine.logical_error_at_sample(&w.fault, &w.noise, 0);
-    }
-    let secs = start.elapsed().as_secs_f64() / reps as f64;
-    (rate, shots as f64 / secs)
-}
-
 fn main() {
     let shots: usize = arg_flag("shots", 1000);
     let seed: u64 = arg_flag("seed", 1);
     let reps: usize = arg_flag("reps", 3);
-    let mut tel = telemetry_snapshot();
-    let mut json = String::from("[\n");
+    let mut report = Report::new("BENCH_decoder.json");
     println!(
         "{:<24} {:>10} {:>10} {:>10} {:>11} {:>11} {:>11} {:>9} {:>9}",
         "workload",
@@ -143,7 +121,6 @@ fn main() {
         "frame_ler",
         "tab_ler"
     );
-    let mut first = true;
     for w in workloads() {
         let engine = InjectionEngine::builder(w.spec).shots(shots).seed(seed).build();
         let code = engine.code().clone();
@@ -173,13 +150,16 @@ fn main() {
             )
         });
         let warm_snap = warm_registry.snapshot();
-        let telemetry_fields =
-            percentile_fields_us(&warm_snap, names::STAGE_DECODE_NS, "decode_latency_us");
-        tel.merge(&warm_snap);
+        report.merge(&warm_snap);
 
-        let (frame_ler, frame_sps) =
-            time_end_to_end(&w, SamplerKind::FrameBatch, shots, seed, reps);
-        let (tab_ler, tab_sps) = time_end_to_end(&w, SamplerKind::Tableau, shots, seed, reps);
+        // End-to-end: the sampler_throughput protocol on both samplers.
+        let end_to_end = |sampler| {
+            let engine =
+                InjectionEngine::builder(w.spec).shots(shots).seed(seed).sampler(sampler).build();
+            time_samples(&engine, &w.fault, &w.noise, reps)
+        };
+        let (frame_ler, frame_sps) = end_to_end(SamplerKind::FrameBatch);
+        let (tab_ler, tab_sps) = end_to_end(SamplerKind::Tableau);
 
         println!(
             "{:<24} {:>10.0} {:>10.0} {:>10.0} {:>11.0} {:>11.0} {:>11.0} {:>9.4} {:>9.4}",
@@ -193,37 +173,22 @@ fn main() {
             frame_ler,
             tab_ler
         );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "  {{\"workload\":\"{}\",\"shots\":{},\"seed\":{},\
-             \"legacy_decode_shots_per_sec\":{:.1},\
-             \"blossom_decode_shots_per_sec\":{:.1},\
-             \"analytic_decode_shots_per_sec\":{:.1},\
-             \"tiered_cold_decode_shots_per_sec\":{:.1},\
-             \"tiered_warm_decode_shots_per_sec\":{:.1},\
-             \"end_to_end_frame_shots_per_sec\":{:.1},\
-             \"end_to_end_tableau_shots_per_sec\":{:.1},\
-             \"frame_logical_error\":{:.6},\"tableau_logical_error\":{:.6}{telemetry_fields}}}",
-            w.name,
-            shots,
-            seed,
-            legacy,
-            blossom,
-            analytic,
-            tiered_cold,
-            tiered_warm,
-            frame_sps,
-            tab_sps,
-            frame_ler,
-            tab_ler
+        report.row(
+            Row::default()
+                .field("workload", w.name)
+                .field("shots", shots)
+                .field("seed", seed)
+                .field("legacy_decode_shots_per_sec", legacy)
+                .field("blossom_decode_shots_per_sec", blossom)
+                .field("analytic_decode_shots_per_sec", analytic)
+                .field("tiered_cold_decode_shots_per_sec", tiered_cold)
+                .field("tiered_warm_decode_shots_per_sec", tiered_warm)
+                .field("end_to_end_frame_shots_per_sec", frame_sps)
+                .field("end_to_end_tableau_shots_per_sec", tab_sps)
+                .field("frame_logical_error", frame_ler)
+                .field("tableau_logical_error", tab_ler)
+                .latency_us(&warm_snap, names::STAGE_DECODE_NS, "decode_latency_us"),
         );
     }
-    json.push_str("\n]\n");
-    std::fs::write("BENCH_decoder.json", &json).expect("write BENCH_decoder.json");
-    tel.write_prometheus();
-    println!("\nwrote BENCH_decoder.json");
+    report.write();
 }

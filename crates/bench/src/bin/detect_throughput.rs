@@ -11,10 +11,12 @@
 //!   intrinsic-only streams with ROC AUC ≥ 0.9 at the central impact
 //!   point, alarm within 3 rounds (median), and the spatial clusterer
 //!   must localize the strike within 2 hops (median);
-//! * the ISSUE 4 streaming-overhaul gate — `stream_shots_per_sec`
-//!   (materialised generation, same semantics as PR 3) must be ≥ 3× the
-//!   PR 3 value of 520.6 k shots/s, with all detection metrics unchanged
-//!   (streams bit-identical; see `tests/golden_stream.rs`).
+//! * the streaming throughput gate — `stream_shots_per_sec`
+//!   (materialised generation) must be ≥ 1 561 800 shots/s, 3× the
+//!   520.6 k shots/s the materialised generator measured before the
+//!   streaming hot-path overhaul, with all detection metrics unchanged
+//!   (streams bit-identical; see `tests/golden_stream.rs`). It is
+//!   evaluated only at `--shots` ≥ 10 000.
 //!
 //! Per-stage timing runs on the incremental decode-as-you-stream pipeline
 //! ([`StreamEngine::for_each_round`]): generation hands each round to the
@@ -29,33 +31,14 @@
 //!     [--shots N] [--rounds N] [--seed N] [--csv PATH]
 //! ```
 
-use radqec_bench::{
-    arg_flag, header, percentile_field_us_p99, percentile_fields_us, telemetry_snapshot, CsvSink,
-};
-use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
-use radqec_core::experiments::{run_detection, DetectionConfig, DetectionResult};
+use radqec_bench::{arg_flag, header, sweep_roots, workloads, CsvSink, Report, Row};
+use radqec_core::experiments::{run_detection, DetectionConfig};
 use radqec_core::streaming::{StreamEngine, StreamFault};
 use radqec_detect::{CusumDetector, EventAccumulator, OnlineDetector, ThresholdDetector};
 use radqec_noise::{NoiseSpec, RadiationModel};
 use radqec_telemetry::names;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
-
-struct Workload {
-    name: &'static str,
-    spec: CodeSpec,
-    /// Whether this workload carries the acceptance gates.
-    acceptance: bool,
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload { name: "rep5", spec: RepetitionCode::bit_flip(5).into(), acceptance: false },
-        Workload { name: "xxzz33", spec: XxzzCode::new(3, 3).into(), acceptance: false },
-        Workload { name: "xxzz55", spec: XxzzCode::new(5, 5).into(), acceptance: true },
-    ]
-}
 
 /// Shots/s of raw multi-round stream generation (frame sampler, strike at
 /// `root`) — the materialised `stream_batches` path, measured with the
@@ -175,35 +158,21 @@ fn pipeline_timing(engine: &StreamEngine, root: u32) -> PipelineTiming {
     }
 }
 
-/// The sweep's distinct roots in row order; the central one is the
-/// canonical "impact point" of the acceptance gate, the first the
-/// boundary ("corner") one of the calibration study.
-fn sweep_roots(res: &DetectionResult) -> Vec<u32> {
-    let mut roots: Vec<u32> = Vec::new();
-    for row in &res.rows {
-        if !roots.contains(&row.root) {
-            roots.push(row.root);
-        }
-    }
-    roots
-}
-
 fn main() {
     let shots: usize = arg_flag("shots", 10_000);
     let rounds: usize = arg_flag("rounds", 10);
     let seed: u64 = arg_flag("seed", 0xDE7EC7);
     let mut sink = CsvSink::from_args();
-    let mut tel = telemetry_snapshot();
-    let mut json = String::from("[\n");
-    let mut first = true;
-    let mut gates_ok = true;
+    let mut report = Report::new("BENCH_detect.json");
     for w in workloads() {
         let mut cfg = DetectionConfig::new(w.spec);
         cfg.shots = shots;
         cfg.rounds = rounds;
         cfg.seed = seed;
         let res = run_detection(&cfg);
-        let roots = sweep_roots(&res);
+        // The central root is the acceptance gates' impact point; the
+        // first, the boundary ("corner") one of the calibration study.
+        let roots = sweep_roots(res.rows.iter().map(|r| r.root));
         let root = roots[roots.len() / 2];
         let corner = roots[0];
 
@@ -214,12 +183,7 @@ fn main() {
         let pipe = pipeline_timing(&engine, root);
         let stats = engine.stream_stats();
         let snap = engine.metrics_snapshot();
-        let telemetry_fields =
-            percentile_fields_us(&snap, names::STREAM_ROUND_NS, "round_latency_us")
-                + &percentile_fields_us(&snap, names::STAGE_GENERATE_NS, "generate_latency_us")
-                + &percentile_field_us_p99(&snap, names::STAGE_EXTRACT_NS, "extract_latency_us")
-                + &percentile_field_us_p99(&snap, names::STAGE_DETECT_NS, "detect_latency_us");
-        tel.merge(&snap);
+        report.merge(&snap);
 
         // Boundary-calibration study: the same sweep's corner + central
         // roots with per-root null calibration on (cluster rows only).
@@ -295,67 +259,60 @@ fn main() {
         let cusum = res.row(root, "cusum").expect("cusum row");
         let cluster = res.row(root, "cluster").expect("cluster row");
         if w.acceptance {
-            let auc_ok = cusum.auc >= 0.9;
-            let lat_ok = cusum.median_latency_rounds.is_some_and(|l| l <= 3);
-            let loc_ok = cluster.median_loc_error_hops.is_some_and(|h| h <= 2);
-            gates_ok &= auc_ok && lat_ok && loc_ok;
-            println!(
-                "acceptance @ root {root}: cusum auc {:.3} (≥0.9 {}), median latency {:?} \
-                 (≤3 {}), cluster loc {:?} hops (≤2 {})",
-                cusum.auc,
-                if auc_ok { "PASS" } else { "FAIL" },
-                cusum.median_latency_rounds,
-                if lat_ok { "PASS" } else { "FAIL" },
-                cluster.median_loc_error_hops,
-                if loc_ok { "PASS" } else { "FAIL" },
+            let auc = format!("{:.3}", cusum.auc);
+            report.gate(&format!("cusum auc @ root {root} ≥ 0.9"), auc, cusum.auc >= 0.9);
+            report.gate(
+                "cusum median latency ≤ 3 rounds",
+                format!("{:?}", cusum.median_latency_rounds),
+                cusum.median_latency_rounds.is_some_and(|l| l <= 3),
             );
+            report.gate(
+                "cluster median localization ≤ 2 hops",
+                format!("{:?}", cluster.median_loc_error_hops),
+                cluster.median_loc_error_hops.is_some_and(|h| h <= 2),
+            );
+            if shots >= 10_000 {
+                report.gate(
+                    "stream_shots_per_sec ≥ 1561800",
+                    format!("{stream_sps:.0}"),
+                    stream_sps >= 1_561_800.0,
+                );
+            }
         }
 
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "  {{\"workload\":\"{}\",\"code\":\"{}\",\"topology\":\"{}\",\
-             \"shots\":{shots},\"rounds\":{rounds},\"seed\":{seed},\
-             \"central_root\":{root},\
-             \"stream_shots_per_sec\":{stream_sps:.1},\
-             \"pipeline_shots_per_sec\":{:.1},\
-             \"generate_shots_per_sec\":{:.1},\
-             \"extract_shots_per_sec\":{:.1},\
-             \"detect_shots_per_sec\":{:.1},\
-             \"round_latency_us\":{:.2}{telemetry_fields},\
-             \"rounds_generated\":{},\"chunks_stolen\":{},\
-             \"workspace_allocations\":{},\"workspace_reuses\":{},\
-             \"cusum_auc\":{:.4},\"cusum_detection_rate\":{:.4},\
-             \"cusum_false_alarm_rate\":{:.4},\"cusum_median_latency_rounds\":{},\
-             \"cluster_auc\":{:.4},\"cluster_median_loc_error_hops\":{},\
-             \"corner_root\":{corner},\
-             \"cluster_corner_auc_raw\":{corner_raw:.4},\
-             \"cluster_corner_auc_calibrated\":{corner_norm:.4}}}",
-            w.name,
-            res.code_name,
-            engine.topology().name(),
-            pipe.pipeline_sps,
-            pipe.generate_sps,
-            pipe.extract_sps,
-            pipe.detect_sps,
-            pipe.round_latency_us,
-            stats.rounds_generated,
-            stats.chunks_stolen,
-            stats.workspace_allocations,
-            stats.workspace_reuses,
-            cusum.auc,
-            cusum.detection_rate,
-            cusum.false_alarm_rate,
-            cusum.median_latency_rounds.map_or("null".into(), |v| v.to_string()),
-            cluster.auc,
-            cluster.median_loc_error_hops.map_or("null".into(), |v| v.to_string()),
+        report.row(
+            Row::default()
+                .field("workload", w.name)
+                .field("code", &res.code_name)
+                .field("topology", engine.topology().name())
+                .field("shots", shots)
+                .field("rounds", rounds)
+                .field("seed", seed)
+                .field("central_root", root)
+                .field("stream_shots_per_sec", stream_sps)
+                .field("pipeline_shots_per_sec", pipe.pipeline_sps)
+                .field("generate_shots_per_sec", pipe.generate_sps)
+                .field("extract_shots_per_sec", pipe.extract_sps)
+                .field("detect_shots_per_sec", pipe.detect_sps)
+                .field("round_latency_us", pipe.round_latency_us)
+                .latency_us(&snap, names::STREAM_ROUND_NS, "round_latency_us")
+                .latency_us(&snap, names::STAGE_GENERATE_NS, "generate_latency_us")
+                .latency_us_p99(&snap, names::STAGE_EXTRACT_NS, "extract_latency_us")
+                .latency_us_p99(&snap, names::STAGE_DETECT_NS, "detect_latency_us")
+                .field("rounds_generated", stats.rounds_generated)
+                .field("chunks_stolen", stats.chunks_stolen)
+                .field("workspace_allocations", stats.workspace_allocations)
+                .field("workspace_reuses", stats.workspace_reuses)
+                .field("cusum_auc", cusum.auc)
+                .field("cusum_detection_rate", cusum.detection_rate)
+                .field("cusum_false_alarm_rate", cusum.false_alarm_rate)
+                .field("cusum_median_latency_rounds", cusum.median_latency_rounds)
+                .field("cluster_auc", cluster.auc)
+                .field("cluster_median_loc_error_hops", cluster.median_loc_error_hops)
+                .field("corner_root", corner)
+                .field("cluster_corner_auc_raw", corner_raw)
+                .field("cluster_corner_auc_calibrated", corner_norm),
         );
     }
-    json.push_str("\n]\n");
-    std::fs::write("BENCH_detect.json", &json).expect("write BENCH_detect.json");
-    tel.write_prometheus();
-    println!("\nwrote BENCH_detect.json{}", if gates_ok { "" } else { " (GATE FAILURES)" });
+    report.write();
 }

@@ -21,14 +21,10 @@
 //! CI quick mode: `--rounds 1000 --shots 32` finishes in seconds and
 //! exercises the same gates.
 
-use radqec_bench::{
-    arg_flag, header, percentile_field_us_p99, percentile_fields_raw, percentile_fields_us,
-    telemetry_snapshot, CsvSink,
-};
+use radqec_bench::{arg_flag, header, CsvSink, Report, Row};
 use radqec_core::codes::RepetitionCode;
 use radqec_core::experiments::{run_fleet, FleetConfig};
 use radqec_telemetry::names;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 fn main() {
@@ -92,83 +88,47 @@ fn main() {
     sink.emit("fleet", &res.to_csv());
     sink.emit("fleet_patches", &res.patch_csv());
 
-    let complete_ok = res.complete;
-    let degraded_ok = res.degraded_shots() == 0;
-    let failures_ok = res.failed_chunks() == 0 && res.retried_chunks() == 0;
-    let cache_ok = res.max_cache_entries() <= cfg.cache_capacity;
-    let gates_ok = complete_ok && degraded_ok && failures_ok && cache_ok;
-    println!(
-        "acceptance: complete ({}), zero degraded ({}), zero chunk failures ({}), caches under \
-         ceiling ({})",
-        pass(complete_ok),
-        pass(degraded_ok),
-        pass(failures_ok),
-        pass(cache_ok),
-    );
+    let mut report = Report::new("BENCH_fleet.json");
+    report.gate("campaign complete", res.complete, res.complete);
+    report.gate("zero degraded shots", res.degraded_shots(), res.degraded_shots() == 0);
+    let failures = (res.failed_chunks(), res.retried_chunks());
+    let observed = format!("{} failed, {} retried", failures.0, failures.1);
+    report.gate("zero chunk failures and retries", observed, failures == (0, 0));
+    let cache = res.max_cache_entries();
+    let ceiling = format!("caches under ceiling {}", cfg.cache_capacity);
+    report.gate(&ceiling, cache, cache <= cfg.cache_capacity);
 
-    let mut tel = telemetry_snapshot();
-    tel.merge(&res.snapshot);
-    let telemetry_fields =
-        percentile_fields_us(&res.snapshot, names::STAGE_DECODE_NS, "decode_latency_us")
-            + &percentile_fields_raw(
-                &res.snapshot,
-                names::DETECT_LATENCY_ROUNDS,
-                "detection_latency_rounds",
-            )
-            + &percentile_fields_raw(
-                &res.snapshot,
-                names::FLEET_TIME_TO_RECOVERY_US,
-                "time_to_recovery_us",
-            )
-            + &percentile_field_us_p99(&res.snapshot, names::STREAM_ROUND_NS, "round_latency_us");
-    let first_retry = res.first_retry_round().map_or("null".into(), |r| r.to_string());
-    let mut json = String::from("[\n");
-    let _ = write!(
-        json,
-        "  {{\"workload\":\"fleet_rep5\",\"code\":\"{}\",\
-         \"patches\":{patches},\"rounds\":{rounds},\"shots\":{shots},\"seed\":{seed},\
-         \"strikes\":{},\"detected\":{},\
-         \"detection_coverage\":{:.4},\
-         \"bursts\":{},\
-         \"bursts_per_device_hour\":{:.3},\
-         \"recovered\":{},\
-         \"time_to_recovery_us\":{:.3},\
-         \"total_events\":{},\
-         \"fleet_shots_per_sec\":{fleet_sps:.2},\
-         \"replica_rounds_per_sec\":{rounds_per_sec:.0},\
-         \"degraded_shots\":{},\
-         \"retried_chunks\":{},\
-         \"failed_chunks\":{},\
-         \"first_retry_round\":{first_retry},\
-         \"flight_entries\":{},\
-         \"cache_entries\":{}{telemetry_fields},\
-         \"complete\":{}}}",
-        cfg.code.name(),
-        m.strikes,
-        m.detected,
-        m.detection_coverage,
-        m.bursts,
-        m.bursts_per_device_hour,
-        m.recovered,
-        m.mean_time_to_recovery_us,
-        m.total_events,
-        res.degraded_shots(),
-        res.retried_chunks(),
-        res.failed_chunks(),
-        res.flight.len(),
-        res.max_cache_entries(),
-        res.complete,
+    report.merge(&res.snapshot);
+    let snap = &res.snapshot;
+    report.row(
+        Row::default()
+            .field("workload", "fleet_rep5")
+            .field("code", cfg.code.name())
+            .field("patches", patches)
+            .field("rounds", rounds)
+            .field("shots", shots)
+            .field("seed", seed)
+            .field("strikes", m.strikes)
+            .field("detected", m.detected)
+            .field("detection_coverage", m.detection_coverage)
+            .field("bursts", m.bursts)
+            .field("bursts_per_device_hour", m.bursts_per_device_hour)
+            .field("recovered", m.recovered)
+            .field("time_to_recovery_us", m.mean_time_to_recovery_us)
+            .field("total_events", m.total_events)
+            .field("fleet_shots_per_sec", fleet_sps)
+            .field("replica_rounds_per_sec", rounds_per_sec)
+            .field("degraded_shots", res.degraded_shots())
+            .field("retried_chunks", res.retried_chunks())
+            .field("failed_chunks", res.failed_chunks())
+            .field("first_retry_round", res.first_retry_round())
+            .field("flight_entries", res.flight.len())
+            .field("cache_entries", res.max_cache_entries())
+            .latency_us(snap, names::STAGE_DECODE_NS, "decode_latency_us")
+            .percentiles(snap, names::DETECT_LATENCY_ROUNDS, "detection_latency_rounds")
+            .percentiles(snap, names::FLEET_TIME_TO_RECOVERY_US, "time_to_recovery_us")
+            .latency_us_p99(snap, names::STREAM_ROUND_NS, "round_latency_us")
+            .field("complete", res.complete),
     );
-    json.push_str("\n]\n");
-    std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-    tel.write_prometheus();
-    println!("\nwrote BENCH_fleet.json{}", if gates_ok { "" } else { " (GATE FAILURES)" });
-}
-
-fn pass(ok: bool) -> &'static str {
-    if ok {
-        "PASS"
-    } else {
-        "FAIL"
-    }
+    report.write();
 }

@@ -18,32 +18,13 @@
 //!     [--shots N] [--seed N] [--csv PATH]
 //! ```
 
-use radqec_bench::{arg_flag, header, percentile_fields_us, telemetry_snapshot, CsvSink};
-use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
+use radqec_bench::{arg_flag, header, sweep_roots, workloads, CsvSink, Report, Row};
 use radqec_core::decoder::DecoderMask;
-use radqec_core::experiments::{
-    mitigation_engine, run_mitigation, MitigationConfig, MitigationResult,
-};
+use radqec_core::experiments::{mitigation_engine, run_mitigation, MitigationConfig};
 use radqec_detect::StrikeMask;
 use radqec_noise::{FaultSpec, NoiseSpec};
 use radqec_telemetry::{names, MetricsSnapshot};
-use std::fmt::Write as _;
 use std::time::Instant;
-
-struct Workload {
-    name: &'static str,
-    spec: CodeSpec,
-    /// Whether this workload carries the acceptance gates.
-    acceptance: bool,
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload { name: "rep5", spec: RepetitionCode::bit_flip(5).into(), acceptance: false },
-        Workload { name: "xxzz33", spec: XxzzCode::new(3, 3).into(), acceptance: false },
-        Workload { name: "xxzz55", spec: XxzzCode::new(5, 5).into(), acceptance: true },
-    ]
-}
 
 /// Warm decode-only throughput (shots/s) of the unaware and masked paths
 /// over one impact-sample batch set (sample once, decode repeatedly),
@@ -86,26 +67,12 @@ fn decode_throughput(cfg: &MitigationConfig, root: u32) -> (f64, f64, MetricsSna
     (unaware, masked, engine.metrics().snapshot())
 }
 
-/// The sweep's distinct roots in row order.
-fn sweep_roots(res: &MitigationResult) -> Vec<u32> {
-    let mut roots: Vec<u32> = Vec::new();
-    for row in &res.rows {
-        if !roots.contains(&row.root) {
-            roots.push(row.root);
-        }
-    }
-    roots
-}
-
 fn main() {
     let shots: usize = arg_flag("shots", 10_000);
     let seed: u64 = arg_flag("seed", 0x3117_C0DE);
     let radius: u32 = arg_flag("radius", 3);
     let mut sink = CsvSink::from_args();
-    let mut tel = telemetry_snapshot();
-    let mut json = String::from("[\n");
-    let mut first = true;
-    let mut gates_ok = true;
+    let mut report = Report::new("BENCH_mitigation.json");
     for w in workloads() {
         let mut cfg = MitigationConfig::new(vec![w.spec]);
         cfg.shots = shots;
@@ -119,15 +86,13 @@ fn main() {
         let wall = start.elapsed().as_secs_f64();
         let decoded_shots = (res.shots * res.samples * res.rows.len()) as f64;
         let end_to_end_sps = decoded_shots / wall;
-        let roots = sweep_roots(&res);
+        let roots = sweep_roots(res.rows.iter().map(|r| r.root));
         let central = roots[roots.len() / 2];
         let code_name = res.rows[0].code_name.clone();
 
         let (unaware_sps, masked_sps, decode_snap) = decode_throughput(&cfg, central);
         let ratio = masked_sps / unaware_sps;
-        let telemetry_fields =
-            percentile_fields_us(&decode_snap, names::STAGE_DECODE_NS, "decode_latency_us");
-        tel.merge(&decode_snap);
+        report.merge(&decode_snap);
         let (mask_contexts, mask_hit_rate) = mask_stats(&cfg, central);
 
         // Mask-cache accounting comes from a dedicated engine replaying the
@@ -167,50 +132,43 @@ fn main() {
         sink.emit(w.name, &res.to_csv());
 
         if w.acceptance {
-            let delta_ok = best_delta > 0.0;
-            let ratio_ok = ratio >= 0.8;
-            gates_ok &= delta_ok && ratio_ok;
-            println!(
-                "acceptance: masked beats unaware on ≥1 geometry ({}: ΔLER {best_delta:+.5} @ \
-                 root {best_root}), masked decode within 20% of unaware ({}: ratio {ratio:.2})",
-                if delta_ok { "PASS" } else { "FAIL" },
-                if ratio_ok { "PASS" } else { "FAIL" },
+            report.gate(
+                &format!("masked beats unaware on ≥1 geometry (root {best_root}), ΔLER > 0"),
+                format!("{best_delta:+.5}"),
+                best_delta > 0.0,
+            );
+            report.gate(
+                "masked decode within 20% of unaware, ratio ≥ 0.8",
+                format!("{ratio:.2}"),
+                ratio >= 0.8,
             );
         }
 
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "  {{\"workload\":\"{}\",\"code\":\"{code_name}\",\
-             \"shots\":{},\"samples\":{},\"seed\":{seed},\
-             \"central_root\":{central},\
-             \"unaware_ler\":{:.6},\"masked_ler\":{:.6},\"detected_ler\":{:.6},\
-             \"best_delta_root\":{best_root},\"best_delta_policy\":\"{best_policy}\",\
-             \"ler_delta\":{best_delta:.6},\
-             \"detected_mask_root\":{},\
-             \"decode_unaware_shots_per_sec\":{unaware_sps:.1},\
-             \"decode_masked_shots_per_sec\":{masked_sps:.1},\
-             \"masked_decode_ratio\":{ratio:.4},\
-             \"end_to_end_shots_per_sec\":{end_to_end_sps:.1},\
-             \"mask_cache_contexts\":{},\"mask_cache_hit_rate\":{:.4}{telemetry_fields}}}",
-            w.name,
-            res.shots,
-            res.samples,
-            unaware.ler,
-            oracle.ler,
-            detected.ler,
-            detected.mask_root.map_or("null".into(), |v| v.to_string()),
-            mask_contexts,
-            mask_hit_rate,
+        report.row(
+            Row::default()
+                .field("workload", w.name)
+                .field("code", &code_name)
+                .field("shots", res.shots)
+                .field("samples", res.samples)
+                .field("seed", seed)
+                .field("central_root", central)
+                .field("unaware_ler", unaware.ler)
+                .field("masked_ler", oracle.ler)
+                .field("detected_ler", detected.ler)
+                .field("best_delta_root", best_root)
+                .field("best_delta_policy", best_policy)
+                .field("ler_delta", best_delta)
+                .field("detected_mask_root", detected.mask_root)
+                .field("decode_unaware_shots_per_sec", unaware_sps)
+                .field("decode_masked_shots_per_sec", masked_sps)
+                .field("masked_decode_ratio", ratio)
+                .field("end_to_end_shots_per_sec", end_to_end_sps)
+                .field("mask_cache_contexts", mask_contexts)
+                .field("mask_cache_hit_rate", mask_hit_rate)
+                .latency_us(&decode_snap, names::STAGE_DECODE_NS, "decode_latency_us"),
         );
     }
-    json.push_str("\n]\n");
-    std::fs::write("BENCH_mitigation.json", &json).expect("write BENCH_mitigation.json");
-    tel.write_prometheus();
-    println!("\nwrote BENCH_mitigation.json{}", if gates_ok { "" } else { " (GATE FAILURES)" });
+    report.write();
 }
 
 /// Replay the oracle mask ladder on a fresh engine and report the

@@ -6,13 +6,11 @@
 //! cargo run --release -p radqec-bench --bin sampler_throughput [--shots N] [--seed N]
 //! ```
 
-use radqec_bench::{arg_flag, percentile_fields_us, telemetry_snapshot};
+use radqec_bench::{arg_flag, time_samples, Report, Row};
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
 use radqec_core::injection::{InjectionEngine, SamplerKind};
 use radqec_noise::{FaultSpec, NoiseSpec, RadiationModel};
 use radqec_telemetry::{names, MetricsSnapshot};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 struct Workload {
     name: &'static str,
@@ -54,13 +52,11 @@ fn main() {
     let shots: usize = arg_flag("shots", 1000);
     let seed: u64 = arg_flag("seed", 1);
     let reps: usize = arg_flag("reps", 3);
-    let mut tel = telemetry_snapshot();
-    let mut json = String::from("[\n");
+    let mut report = Report::new("BENCH_sampler.json");
     println!(
         "{:<26} {:>11} {:>11} {:>12} {:>12} {:>9}",
         "workload", "frame_ler", "tableau_ler", "frame_sh/s", "tab_sh/s", "speedup"
     );
-    let mut first = true;
     for w in workloads() {
         let mut rates = [0.0f64; 2];
         let mut thpt = [0.0f64; 2];
@@ -69,16 +65,7 @@ fn main() {
         {
             let engine =
                 InjectionEngine::builder(w.spec).shots(shots).seed(seed).sampler(sampler).build();
-            // Warm-up (builds the reference trace for the frame path).
-            let _ = engine.logical_error_at_sample(&w.fault, &w.noise, 0);
-            let start = Instant::now();
-            let mut rate = 0.0;
-            for _ in 0..reps {
-                rate = engine.logical_error_at_sample(&w.fault, &w.noise, 0);
-            }
-            let secs = start.elapsed().as_secs_f64() / reps as f64;
-            rates[i] = rate;
-            thpt[i] = shots as f64 / secs;
+            (rates[i], thpt[i]) = time_samples(&engine, &w.fault, &w.noise, reps);
             if sampler == SamplerKind::FrameBatch {
                 // Refresh the pool gauges, then snapshot the frame
                 // engine's registry (decode spans + workspace gauges).
@@ -86,9 +73,7 @@ fn main() {
                 frame_snap = engine.metrics().snapshot();
             }
         }
-        let telemetry_fields =
-            percentile_fields_us(&frame_snap, names::STAGE_DECODE_NS, "decode_latency_us");
-        tel.merge(&frame_snap);
+        report.merge(&frame_snap);
         println!(
             "{:<26} {:>11.4} {:>11.4} {:>12.0} {:>12.0} {:>8.1}x",
             w.name,
@@ -98,18 +83,18 @@ fn main() {
             thpt[1],
             thpt[0] / thpt[1]
         );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "  {{\"workload\":\"{}\",\"shots\":{},\"seed\":{},\"frame_logical_error\":{:.6},\"tableau_logical_error\":{:.6},\"frame_shots_per_sec\":{:.1},\"tableau_shots_per_sec\":{:.1},\"speedup\":{:.2}{telemetry_fields}}}",
-            w.name, shots, seed, rates[0], rates[1], thpt[0], thpt[1], thpt[0] / thpt[1]
+        report.row(
+            Row::default()
+                .field("workload", w.name)
+                .field("shots", shots)
+                .field("seed", seed)
+                .field("frame_logical_error", rates[0])
+                .field("tableau_logical_error", rates[1])
+                .field("frame_shots_per_sec", thpt[0])
+                .field("tableau_shots_per_sec", thpt[1])
+                .field("speedup", thpt[0] / thpt[1])
+                .latency_us(&frame_snap, names::STAGE_DECODE_NS, "decode_latency_us"),
         );
     }
-    json.push_str("\n]\n");
-    std::fs::write("BENCH_sampler.json", &json).expect("write BENCH_sampler.json");
-    tel.write_prometheus();
-    println!("\nwrote BENCH_sampler.json");
+    report.write();
 }

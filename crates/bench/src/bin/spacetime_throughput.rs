@@ -29,14 +29,13 @@
 //!
 //! [`StreamDecoder`]: radqec_core::decoder::StreamDecoder
 
-use radqec_bench::{arg_flag, header, percentile_fields_us, telemetry_snapshot};
+use radqec_bench::{arg_flag, header, Report, Row};
 use radqec_core::decoder::{StreamDecoder, StreamDecoderConfig, TierConfig};
 use radqec_core::experiments::{
     calibrate_stream, central_root, streaming_engine, StreamingLerConfig,
 };
 use radqec_core::streaming::StreamFault;
 use radqec_telemetry::names;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 fn main() {
@@ -50,10 +49,7 @@ fn main() {
     cfg.rounds = rounds;
     cfg.seed = seed;
 
-    let mut tel = telemetry_snapshot();
-    let mut json = String::from("[\n");
-    let mut first = true;
-    let mut gates_ok = true;
+    let mut report = Report::new("BENCH_spacetime.json");
 
     header(&format!("streaming space-time decode ({shots} shots, {rounds} rounds)"));
     let codes = cfg.codes.clone();
@@ -82,11 +78,9 @@ fn main() {
         let sps = shots as f64 / adaptive_secs;
 
         let snap = engine.metrics_snapshot();
-        let latency_fields =
-            percentile_fields_us(&snap, names::STAGE_DECODE_NS, "spacetime_round_latency_us");
         let mean_us =
-            snap.histogram(names::STAGE_DECODE_NS).and_then(|h| h.mean()).map(|ns| ns * 1e-3);
-        tel.merge(&snap);
+            snap.histogram(names::STAGE_DECODE_NS).and_then(|h| h.mean()).map(|ns| ns / 1e3);
+        report.merge(&snap);
 
         let name = &engine.memory().name;
         let mean_field = mean_us.map_or("null".into(), |us| format!("{us:.3}"));
@@ -99,37 +93,37 @@ fn main() {
             adaptive.first_alarm_round,
         );
         if full {
-            let budget_ok = mean_us.is_some_and(|us| us <= 7.6);
-            let loop_ok = delta > 0.0;
-            gates_ok &= budget_ok && loop_ok;
-            println!(
-                "  gates: mean decode ≤ 7.6 us/round {}, adaptive beats unaware {}",
-                if budget_ok { "PASS" } else { "FAIL" },
-                if loop_ok { "PASS" } else { "FAIL" },
+            report.gate(
+                &format!("{name} mean decode ≤ 7.6 us/round"),
+                &mean_field,
+                mean_us.is_some_and(|us| us <= 7.6),
+            );
+            report.gate(
+                &format!("{name} adaptive beats unaware"),
+                format!("{delta:+.4}"),
+                delta > 0.0,
             );
         }
 
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "  {{\"workload\":\"{name}\",\"code\":\"{name}\",\
-             \"shots\":{shots},\"rounds\":{rounds},\"seed\":{seed},\
-             \"root\":{root},\"baseline\":{baseline:.4},\"sigma\":{sigma:.4},\
-             \"streaming_ler\":{:.6},\"unaware_ler\":{:.6},\"ler_delta\":{delta:.6},\
-             \"first_alarm_round\":{},\"chunk_alarms\":{},\
-             \"stream_decode_shots_per_sec\":{sps:.1},\
-             \"spacetime_round_latency_us\":{mean_field}{latency_fields}}}",
-            adaptive.ler(),
-            unaware.ler(),
-            adaptive.first_alarm_round.map_or("null".into(), |v| v.to_string()),
-            adaptive.chunk_alarms,
+        report.row(
+            Row::default()
+                .field("workload", name)
+                .field("code", name)
+                .field("shots", shots)
+                .field("rounds", rounds)
+                .field("seed", seed)
+                .field("root", root)
+                .field("baseline", baseline)
+                .field("sigma", sigma)
+                .field("streaming_ler", adaptive.ler())
+                .field("unaware_ler", unaware.ler())
+                .field("ler_delta", delta)
+                .field("first_alarm_round", adaptive.first_alarm_round)
+                .field("chunk_alarms", adaptive.chunk_alarms)
+                .field("stream_decode_shots_per_sec", sps)
+                .field("spacetime_round_latency_us", mean_us)
+                .latency_us(&snap, names::STAGE_DECODE_NS, "spacetime_round_latency_us"),
         );
     }
-    json.push_str("\n]\n");
-    std::fs::write("BENCH_spacetime.json", &json).expect("write BENCH_spacetime.json");
-    tel.write_prometheus();
-    println!("\nwrote BENCH_spacetime.json{}", if gates_ok { "" } else { " (GATE FAILURES)" });
+    report.write();
 }

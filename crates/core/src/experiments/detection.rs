@@ -55,10 +55,9 @@ pub struct DetectionConfig {
     /// sweep fits a [`RootCalibration`] from the null campaign (per-root
     /// score quantiles, pooled over 2-hop neighbourhoods) and rescales
     /// every cluster score by its elected root's null level before
-    /// thresholding and ROC analysis. (The model-based alternative,
-    /// `Localizer::with_boundary_norm`, is a separate opt-in on the
-    /// localizer itself; measurements show both leave the corner AUC gap
-    /// essentially unchanged — it is signal-limited, see ROADMAP.)
+    /// thresholding and ROC analysis. Measurements show it leaves the
+    /// corner AUC gap essentially unchanged — it is signal-limited, see
+    /// ROADMAP.
     pub boundary_norm: bool,
     /// Shot sampler (default frame batch).
     pub sampler: SamplerKind,

@@ -39,13 +39,6 @@ pub struct Localizer {
     /// merely by seeing more of the chip — leaving the *local excess*
     /// that only co-located events can produce.
     background: Vec<f64>,
-    /// Boundary-calibration factor per candidate: the chip-mean diffuse
-    /// wide-kernel background over the candidate's own (α = ½). Scores
-    /// are multiplied by it in boundary-norm mode.
-    norm: Vec<f64>,
-    /// Normalise the detection score against each candidate root's null
-    /// baseline (see [`Localizer::with_boundary_norm`]).
-    normalize: bool,
     /// Candidate root qubits (every qubit of the topology).
     num_qubits: usize,
 }
@@ -84,12 +77,6 @@ impl Localizer {
                 total / row_of.len() as f64
             })
             .collect();
-        let wide_background: Vec<f64> = (0..num_qubits)
-            .map(|q| row_of.iter().map(|&k| spatial_weight(rows[k][q])).sum::<f64>())
-            .collect();
-        let mean_bg = wide_background.iter().sum::<f64>() / num_qubits.max(1) as f64;
-        let norm: Vec<f64> =
-            wide_background.iter().map(|&bg| (mean_bg / bg.max(1e-12)).sqrt()).collect();
         Localizer {
             window,
             decay,
@@ -98,28 +85,8 @@ impl Localizer {
             row_of,
             rows,
             background,
-            norm,
-            normalize: false,
             num_qubits,
         }
-    }
-
-    /// Boundary-aware per-root score normalisation (ROADMAP follow-up:
-    /// corner strikes separate much worse than central ones). The raw
-    /// detection statistic — the wide kernel's peak — is biased towards
-    /// chip-central candidates, which collect background mass from more
-    /// detectors; a corner strike can never reach the alarm level that a
-    /// *central-null* calibration implies. With normalisation on, every
-    /// candidate's wide mass is *rescaled* by `√(b̄ / b_q)` — the
-    /// chip-mean diffuse background over the candidate's own — so corner
-    /// and central roots alarm on an equal footing. A ratio (not an
-    /// excess subtraction): under the per-gate reset model magnitude is
-    /// signal, so the raw mass is kept and only the boundary bias is
-    /// divided out; √ because a strike's mass deficit at the boundary is
-    /// milder than the null background's.
-    pub fn with_boundary_norm(mut self, on: bool) -> Self {
-        self.normalize = on;
-        self
     }
 
     /// [`Localizer::new`] with the default window and damping.
@@ -185,12 +152,11 @@ impl Localizer {
             // Detection statistic: the peak of the wide kernel — under
             // the per-gate reset model a strike elevates the *whole*
             // chip's event rate (compounded `S(d)` per round), so
-            // magnitude is signal, not background. In boundary-norm mode
-            // the peak is taken over per-candidate null z-scores instead
-            // (see `with_boundary_norm`).
-            let stat = if self.normalize { wide * self.norm[q] } else { wide };
-            if best_mass.is_none_or(|m| stat > m) {
-                best_mass = Some(stat);
+            // magnitude is signal, not background. Boundary-aware
+            // calibration of this score happens downstream, against a
+            // measured null campaign (see `RootCalibration`).
+            if best_mass.is_none_or(|m| wide > m) {
+                best_mass = Some(wide);
             }
             // Localization statistic: the sharp kernel's *local excess*
             // over the diffuse expectation of an equally noisy but
@@ -209,9 +175,7 @@ impl Localizer {
         // *time-like* chain (the signature of an isolated measurement
         // blip, which fires the same detector in consecutive rounds), not
         // a spatial cluster: cap it at a single event's score so it can
-        // never outrank a genuine two-position spread. The cap carries
-        // over to the normalised scale, where a lone event's z can spike
-        // at low-baseline (corner) candidates.
+        // never outrank a genuine two-position spread.
         if positions < 2 {
             score = score.min(1.0);
         }
@@ -356,9 +320,10 @@ impl ClusterDetector {
     }
 }
 
-/// Per-root score calibration learned from a **measured** null campaign —
-/// the empirical complement of [`Localizer::with_boundary_norm`]'s
-/// diffuse-background rescale. `fit` collects each candidate root's null
+/// Per-root score calibration learned from a **measured** null campaign:
+/// the wide-kernel peak [`Localizer::window_eval`] scores is biased
+/// towards chip-central candidates, which collect background mass from
+/// more detectors. `fit` collects each candidate root's null
 /// score distribution (shots whose best window elected that root) and
 /// stores a per-root reference quantile; `normalize` rescales a score by
 /// the elected root's reference, so a corner root — whose null scores
@@ -507,40 +472,6 @@ mod tests {
         let quiet = ShotBatch::new(10, 1);
         let evq = EventStream::extract(&quiet, &spec);
         assert_eq!(det.detect_shot(&evq, 0), (0.0, None, None));
-    }
-
-    #[test]
-    fn boundary_norm_boosts_low_background_candidates() {
-        let (spec, topo) = toy();
-        let raw = Localizer::with_defaults(&spec, &topo);
-        let norm = Localizer::with_defaults(&spec, &topo).with_boundary_norm(true);
-        // A burst at the chain's end (stab 0, ancilla 1): the boundary
-        // candidate's normalised score must exceed its raw score (its
-        // diffuse background is below the chip mean), and a central
-        // burst's must shrink.
-        let mut batch = ShotBatch::new(10, 2);
-        batch.flip(spec.cbit(0, 0), 0);
-        batch.flip(spec.cbit(0, 1), 0);
-        batch.flip(spec.cbit(0, 2), 1);
-        batch.flip(spec.cbit(0, 3), 1);
-        let ev = EventStream::extract(&batch, &spec);
-        let edge_raw = raw.window_eval(&ev, 0, 0, 1).unwrap();
-        let edge_norm = norm.window_eval(&ev, 0, 0, 1).unwrap();
-        let mid_raw = raw.window_eval(&ev, 1, 0, 1).unwrap();
-        let mid_norm = norm.window_eval(&ev, 1, 0, 1).unwrap();
-        // The boundary burst gains ground on the central burst once both
-        // are scored against their own diffuse baselines.
-        assert!(
-            edge_norm.score / mid_norm.score > edge_raw.score / mid_raw.score,
-            "norm {:.3}/{:.3} vs raw {:.3}/{:.3}",
-            edge_norm.score,
-            mid_norm.score,
-            edge_raw.score,
-            mid_raw.score
-        );
-        // Root estimates are untouched by the score normalisation.
-        assert_eq!(edge_norm.root, edge_raw.root);
-        assert_eq!(mid_norm.root, mid_raw.root);
     }
 
     #[test]

@@ -5,9 +5,15 @@
 //! *"On the Efficacy of Surface Codes in Compensating for Radiation Events
 //! in Superconducting Devices"* (Vallero et al., SC 2024).
 //!
-//! Re-exports every sub-crate under a stable module path. See the workspace
-//! `README.md` for the architecture overview and `DESIGN.md` for the full
-//! system inventory.
+//! Re-exports every sub-crate under a stable module path. Bottom up:
+//! `circuit` (gate IR and shot records), `topology` (device coupling
+//! graphs), `transpiler` (layout and SWAP routing), `stabilizer` (CHP
+//! tableau and Pauli-frame batch sampler), `statevector` (dense
+//! cross-check backend), `noise` (intrinsic and radiation fault
+//! channels), `matching` (MWPM), `detect` (online strike detection and
+//! localization), `telemetry` (metrics registry and flight recorder) and
+//! `core` (codes, decoders, injection and streaming engines, the paper's
+//! experiments).
 //!
 //! ```
 //! use radqec::prelude::*;

@@ -7,9 +7,10 @@
 //! * A warm engine allocates **zero** new workspace buffers per campaign
 //!   with telemetry on.
 //! * Telemetry-on throughput stays within a flake-safe factor of
-//!   telemetry-off in this debug-build smoke test; the product-level 2 %
-//!   gate is enforced on the release-mode `stream_shots_per_sec` of
-//!   BENCH_detect.json (xxzz55 ≥ 1.64 M shots/s, CI-asserted).
+//!   telemetry-off in this debug-build smoke test. The release-mode
+//!   figure is tracked as `stream_shots_per_sec` in BENCH_detect.json and
+//!   gated only by `detect_throughput`'s printed stream-throughput gate
+//!   (xxzz55 ≥ 1 561 800 shots/s at ≥ 10 000 shots), not by CI.
 //!
 //! `radqec_telemetry::set_enabled` flips a process-wide switch, so every
 //! test that touches it serialises on [`TELEMETRY_LOCK`] and restores the
@@ -131,8 +132,9 @@ fn telemetry_overhead_stays_small() {
     let on = best_of(true);
     // Flake-safe debug-build bound: the histogram record is ~4 atomic ops
     // per chunk-round against ~7.6 µs of generation work, so even a noisy
-    // CI box stays far under this. The real 2 % gate runs in release mode
-    // against BENCH_detect.json's stream_shots_per_sec.
+    // CI box stays far under this. Release-mode throughput is tracked as
+    // BENCH_detect.json's stream_shots_per_sec and gated only by the
+    // detect_throughput bin's printed gate, not by CI.
     let ratio = on.as_secs_f64() / off.as_secs_f64().max(1e-9);
     assert!(ratio < 1.25, "telemetry-on/off wall-clock ratio {ratio:.3} exceeds the smoke bound");
 }
