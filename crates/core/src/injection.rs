@@ -5,18 +5,17 @@
 
 use crate::codes::{CodeCircuit, CodeSpec};
 use crate::decoder::{Decoder, DecoderKind, DecoderMask};
-pub use crate::sampling::WorkspaceStats;
-use crate::sampling::{tableau_batch, WorkspacePool};
+#[doc(hidden)]
+pub use crate::sampling::mix_seed;
+pub use crate::sampling::{EngineBuilder, WorkspaceStats};
+use crate::sampling::{Host, ShotPlan, Streams};
 use radqec_circuit::ShotBatch;
-use radqec_noise::{ActiveFault, FaultSpec, NoiseSpec, ResetBasis};
-use radqec_stabilizer::ReferenceTrace;
+use radqec_noise::{FaultSpec, NoiseSpec, ResetBasis};
 use radqec_telemetry::MetricsRegistry;
-use radqec_topology::{generators::fitting_mesh, Topology};
-use radqec_transpiler::{transpile, TranspileOptions, Transpiled};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use radqec_topology::Topology;
+use radqec_transpiler::Transpiled;
 use rayon::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which Monte-Carlo sampler backs [`InjectionEngine`] shots.
 ///
@@ -52,140 +51,45 @@ const FRAME_CHUNK_MAX: usize = 4096;
 /// (the per-batch memo was split across chunks); with the engine-level
 /// cross-batch syndrome cache that coupling is gone and this is purely a
 /// parallel-balance / working-set knob. Override per workload with
-/// [`InjectionEngineBuilder::frame_chunk`].
+/// [`EngineBuilder::frame_chunk`].
 pub fn default_frame_chunk(shots: usize) -> usize {
     let target = shots.div_ceil(16);
     let aligned = target.div_ceil(64) * 64;
     aligned.clamp(FRAME_CHUNK_MIN, FRAME_CHUNK_MAX)
 }
 
-/// Fluent configuration for [`InjectionEngine`].
-pub struct InjectionEngineBuilder {
-    spec: CodeSpec,
-    topology: Option<Topology>,
-    initial_layout: Option<Vec<u32>>,
-    transpile_opts: TranspileOptions,
-    decoder: DecoderKind,
-    sampler: SamplerKind,
-    shots: usize,
-    seed: u64,
-    frame_chunk: Option<usize>,
-}
+/// Fluent configuration for [`InjectionEngine`]: the shared
+/// [`EngineBuilder`] options plus the decoder.
+pub type InjectionEngineBuilder = EngineBuilder<DecoderKind>;
 
 impl InjectionEngineBuilder {
-    /// Override the architecture graph (default: the smallest 5×k mesh that
-    /// fits the code, the paper's scaled-down 5×6 lattice).
-    pub fn topology(mut self, topo: Topology) -> Self {
-        self.topology = Some(topo);
-        self
-    }
-
-    /// Pin the initial logical→physical placement instead of searching
-    /// (routing still runs; with a good table it inserts few or no SWAPs).
-    /// The mitigation harness uses this to host codes on their native
-    /// embeddings extended by a readout-ancilla seat.
-    pub fn initial_layout(mut self, l2p: Vec<u32>) -> Self {
-        self.initial_layout = Some(l2p);
-        self
-    }
-
-    /// Override transpilation options.
-    pub fn transpile_options(mut self, opts: TranspileOptions) -> Self {
-        self.transpile_opts = opts;
-        self
-    }
-
     /// Select the decoder (default MWPM).
     pub fn decoder(mut self, kind: DecoderKind) -> Self {
-        self.decoder = kind;
-        self
-    }
-
-    /// Select the shot sampler (default [`SamplerKind::FrameBatch`]).
-    pub fn sampler(mut self, kind: SamplerKind) -> Self {
-        self.sampler = kind;
-        self
-    }
-
-    /// Shots per temporal sample (default 1000).
-    pub fn shots(mut self, shots: usize) -> Self {
-        assert!(shots > 0, "need at least one shot");
-        self.shots = shots;
-        self
-    }
-
-    /// Master seed; every (sample, shot) pair derives its own stream, so
-    /// results are reproducible and independent of thread scheduling.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Override the shots-per-frame-batch size (default:
-    /// [`default_frame_chunk`] of the campaign's shot count). Changing it
-    /// changes the per-chunk RNG streams, i.e. which shots are sampled —
-    /// not the sampled distribution.
-    pub fn frame_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "frame chunk must be positive");
-        self.frame_chunk = Some(chunk);
+        self.options = kind;
         self
     }
 
     /// Build the engine (runs the transpiler once).
     pub fn build(self) -> InjectionEngine {
+        let plan = self.plan(Streams::INJECTION);
         let code = self.spec.build();
-        let topology = self.topology.unwrap_or_else(|| fitting_mesh(code.total_qubits()));
-        assert!(
-            topology.num_qubits() >= code.total_qubits(),
-            "topology {} too small for {}",
-            topology.name(),
-            code.name
-        );
-        let transpiled = match self.initial_layout {
-            Some(l2p) => radqec_transpiler::transpile_with_layout(
-                &code.circuit,
-                &topology,
-                radqec_transpiler::Layout::new(l2p, topology.num_qubits()),
-                &self.transpile_opts,
-            ),
-            None => transpile(&code.circuit, &topology, &self.transpile_opts),
-        };
+        let host = Host::build(&code.circuit, &code.name, self.topology, self.initial_layout);
         // The decoder records into the engine's registry, so one snapshot
         // covers workspace gauges and the whole `decode.*` family.
         let metrics = Arc::new(MetricsRegistry::new());
-        let decoder = self.decoder.build_with_metrics(&code, Arc::clone(&metrics));
-        InjectionEngine {
-            code,
-            topology,
-            transpiled,
-            decoder,
-            sampler: self.sampler,
-            shots: self.shots,
-            seed: self.seed,
-            frame_chunk: self.frame_chunk.unwrap_or_else(|| default_frame_chunk(self.shots)),
-            reference: OnceLock::new(),
-            workspaces: WorkspacePool::default(),
-            metrics,
-        }
+        let decoder = self.options.build_with_metrics(&code, Arc::clone(&metrics));
+        InjectionEngine { code, host, decoder, plan, metrics }
     }
 }
 
 /// A ready-to-run injection campaign for one (code, topology) pair.
 pub struct InjectionEngine {
     code: CodeCircuit,
-    topology: Topology,
-    transpiled: Transpiled,
+    /// Topology, transpiled circuit and the frame sampler's reference
+    /// trace (computed on the first sample, shared by every later one).
+    host: Host,
     decoder: Box<dyn Decoder>,
-    sampler: SamplerKind,
-    shots: usize,
-    seed: u64,
-    frame_chunk: usize,
-    /// Noiseless reference trace for the frame sampler, computed on first
-    /// use and shared by every sample/batch of the campaign.
-    reference: OnceLock<ReferenceTrace>,
-    /// Pooled per-worker stream workspaces, recycled across chunks,
-    /// samples and whole campaigns.
-    workspaces: WorkspacePool,
+    plan: ShotPlan,
     /// Per-engine metrics registry — [`Self::workspace_stats`] mirrors
     /// the pool counters into its gauges on read.
     metrics: Arc<MetricsRegistry>,
@@ -194,22 +98,12 @@ pub struct InjectionEngine {
 impl InjectionEngine {
     /// Start configuring an engine for `spec`.
     pub fn builder(spec: CodeSpec) -> InjectionEngineBuilder {
-        InjectionEngineBuilder {
-            spec,
-            topology: None,
-            initial_layout: None,
-            transpile_opts: TranspileOptions::auto(),
-            decoder: DecoderKind::default(),
-            sampler: SamplerKind::default(),
-            shots: 1000,
-            seed: 0,
-            frame_chunk: None,
-        }
+        EngineBuilder::new(spec, DecoderKind::default())
     }
 
     /// The sampler backing this engine's shots.
     pub fn sampler(&self) -> SamplerKind {
-        self.sampler
+        self.plan.sampler
     }
 
     /// The assembled (logical) code.
@@ -219,27 +113,27 @@ impl InjectionEngine {
 
     /// The architecture graph in use.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.host.topology
     }
 
     /// The transpiled physical circuit and layouts.
     pub fn transpiled(&self) -> &Transpiled {
-        &self.transpiled
+        &self.host.transpiled
     }
 
     /// Physical qubits the routed circuit actually uses.
     pub fn used_physical_qubits(&self) -> Vec<u32> {
-        self.transpiled.used_physical_qubits()
+        self.host.transpiled.used_physical_qubits()
     }
 
     /// Shots per temporal sample.
     pub fn shots(&self) -> usize {
-        self.shots
+        self.plan.shots
     }
 
     /// Shots per Pauli-frame batch in use.
     pub fn frame_chunk(&self) -> usize {
-        self.frame_chunk
+        self.plan.frame_chunk
     }
 
     /// Tier statistics of the engine's decoder, when it tracks them (the
@@ -315,7 +209,8 @@ impl InjectionEngine {
         basis: ResetBasis,
         mask: Option<&DecoderMask>,
     ) -> f64 {
-        let active = fault.activate(&self.topology, sample).with_basis(basis);
+        let active = fault.activate(&self.host.topology, sample).with_basis(basis);
+        let segments = [(0, &active)];
         let failures = |batch: &ShotBatch| {
             let ok = match mask {
                 Some(mask) => self.decoder.decode_batch_masked(batch, mask),
@@ -323,21 +218,24 @@ impl InjectionEngine {
             };
             ok.into_iter().filter(|&ok| !ok).count()
         };
-        let errors: usize = match self.sampler {
-            SamplerKind::FrameBatch => (0..self.shots.div_ceil(self.frame_chunk))
-                .into_par_iter()
-                .map(|chunk| failures(&self.frame_batch_chunk(&active, noise, sample, chunk)))
-                .sum(),
-            SamplerKind::Tableau => failures(&tableau_batch(
-                &self.transpiled.circuit,
-                self.topology.num_qubits(),
-                noise,
-                &[(0, &active)],
-                self.shots,
-                |shot| mix_seed(self.seed, sample as u64, shot as u64),
-            )),
+        let (host, plan) = (&self.host, &self.plan);
+        let errors: usize = match plan.sampler {
+            SamplerKind::FrameBatch => {
+                let reference = plan.reference(host);
+                (0..plan.num_chunks())
+                    .into_par_iter()
+                    .map(|chunk| {
+                        failures(
+                            &plan.frame_batch(host, &reference, &segments, noise, sample, chunk),
+                        )
+                    })
+                    .sum()
+            }
+            SamplerKind::Tableau => {
+                failures(&plan.tableau(host, &segments, noise, sample, 0, plan.shots))
+            }
         };
-        errors as f64 / self.shots as f64
+        errors as f64 / plan.shots as f64
     }
 
     /// Workspace-pool counters over the engine's lifetime: on a warm pool
@@ -347,43 +245,12 @@ impl InjectionEngine {
     /// mid-flight. Reading mirrors the counts into the engine registry's
     /// `workspace.*` gauges.
     pub fn workspace_stats(&self) -> WorkspaceStats {
-        self.workspaces.stats(&self.metrics)
+        self.plan.workspaces.stats(&self.metrics)
     }
 
     /// This engine's metrics registry.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
-    }
-
-    /// Sample one frame-batch chunk of a temporal sample: a distinct RNG
-    /// stream per (sample, chunk), offset so frame streams never collide
-    /// with the tableau path's per-shot ones. Buffers come from the
-    /// engine's workspace pool; recycled chunks replay a fresh buffer's
-    /// exact draw sequence, so the streams are bit-identical to the
-    /// pre-pool implementation.
-    fn frame_batch_chunk(
-        &self,
-        active: &ActiveFault,
-        noise: &NoiseSpec,
-        sample: usize,
-        chunk: usize,
-    ) -> ShotBatch {
-        let circuit = &self.transpiled.circuit;
-        let n_phys = self.topology.num_qubits() as usize;
-        let reference = self.reference.get_or_init(|| {
-            ReferenceTrace::compute(circuit, n_phys, mix_seed(self.seed, 0xFAB, 0x5EED))
-        });
-        let width = self.frame_chunk.min(self.shots - chunk * self.frame_chunk);
-        let mut rng = StdRng::seed_from_u64(mix_seed(
-            self.seed ^ 0xF7A3_0000_0000_0001,
-            sample as u64,
-            chunk as u64,
-        ));
-        let mut ws = self.workspaces.take();
-        let batch =
-            ws.run_chunk(circuit, reference, noise, &[(0, active)], n_phys, width, &mut rng);
-        self.workspaces.put(ws);
-        batch
     }
 
     /// The frame sampler's bit-packed record batches for one temporal
@@ -397,9 +264,12 @@ impl InjectionEngine {
         noise: &NoiseSpec,
         sample: usize,
     ) -> Vec<ShotBatch> {
-        let active = fault.activate(&self.topology, sample).with_basis(ResetBasis::Z);
-        (0..self.shots.div_ceil(self.frame_chunk))
-            .map(|chunk| self.frame_batch_chunk(&active, noise, sample, chunk))
+        let active = fault.activate(&self.host.topology, sample).with_basis(ResetBasis::Z);
+        let reference = self.plan.reference(&self.host);
+        (0..self.plan.num_chunks())
+            .map(|chunk| {
+                self.plan.frame_batch(&self.host, &reference, &[(0, &active)], noise, sample, chunk)
+            })
             .collect()
     }
 
@@ -409,7 +279,7 @@ impl InjectionEngine {
         let per_sample: Vec<f64> = (0..fault.num_samples())
             .map(|s| self.logical_error_at_sample(fault, noise, s))
             .collect();
-        InjectionOutcome { per_sample, shots_per_sample: self.shots }
+        InjectionOutcome { per_sample, shots_per_sample: self.plan.shots }
     }
 }
 
@@ -440,24 +310,13 @@ impl InjectionOutcome {
     }
 }
 
-/// SplitMix64-style seed mixing: decorrelates per-(sample, shot) streams
-/// from the master seed without any sequential dependency between shots.
-#[inline]
-#[doc(hidden)]
-pub fn mix_seed(seed: u64, sample: u64, shot: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(sample.wrapping_add(1)))
-        .wrapping_add(0xBF58_476D_1CE4_E5B9u64.wrapping_mul(shot.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codes::{RepetitionCode, XxzzCode};
     use radqec_noise::RadiationModel;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn noiseless_faultless_runs_have_zero_logical_error() {

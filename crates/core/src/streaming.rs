@@ -38,11 +38,15 @@
 //! The engine is built for throughput end to end:
 //!
 //! * **Shared stream contexts** — the expensive one-time artefacts of a
-//!   `(code, rounds, host)` target (transpiled circuit, stream layout,
-//!   noiseless reference traces per seed) live in a process-wide cache, so
-//!   every strike-position point of a detection sweep, the null
-//!   calibration and the throughput benches all reuse one transpile and
-//!   one reference instead of rebuilding them per engine.
+//!   `(code, rounds, host)` target (memory circuit, stream layout, and the
+//!   host from the engine core shared with the injection engine:
+//!   transpiled circuit plus noiseless reference traces per seed) live in
+//!   a process-wide cache, so every strike-position point of a detection
+//!   sweep, the null calibration and the throughput benches all reuse one
+//!   transpile and one reference instead of rebuilding them per engine.
+//!   Fitted and native hosts are cached; an explicit topology or placement
+//!   builds a private context and wins over `native()` in either call
+//!   order.
 //! * **Workspace recycling** — frame planes, record batches and Bernoulli
 //!   scratch live in pooled [`StreamWorkspace`]s, allocated once per
 //!   worker and reused across all rounds, chunks and sweep points
@@ -86,9 +90,9 @@
 //! routing SWAPs that migrate an ancilla are tracked round by round.
 
 use crate::codes::{CodeSpec, MemoryCircuit};
-use crate::injection::{default_frame_chunk, mix_seed, SamplerKind};
+use crate::injection::SamplerKind;
 use crate::intern::InternTable;
-use crate::sampling::{tableau_batch, WorkspacePool};
+use crate::sampling::{EngineBuilder, Host, ShotPlan, Streams};
 use radqec_circuit::{Gate, ShotBatch};
 use radqec_detect::StreamSpec;
 use radqec_noise::{
@@ -100,8 +104,8 @@ use radqec_telemetry::{
     names, Counter, FlightEvent, FlightRecorder, Histogram, MetricsRegistry, MetricsSnapshot,
     SpanTimer,
 };
-use radqec_topology::{generators::fitting_mesh, Topology};
-use radqec_transpiler::{transpile, transpile_with_layout, Layout, TranspileOptions, Transpiled};
+use radqec_topology::Topology;
+use radqec_transpiler::Transpiled;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -276,27 +280,16 @@ enum HostKind {
     Custom,
 }
 
-/// Ceiling on cached per-seed reference traces per stream context. A
-/// trace is `O(ops × qubits)` bits, and a seed-sweeping campaign would
-/// otherwise grow the map without bound; LRU keeps the handful of seeds a
-/// fleet actually cycles through warm.
-const REFERENCE_CACHE_CAP: usize = 8;
-
 /// The one-time artefacts of a `(code, rounds, host)` streaming target:
-/// assembled memory experiment, transpiled physical circuit, round
-/// markers, stream layout, and the per-seed noiseless reference traces.
+/// assembled memory experiment, its host (transpiled physical circuit and
+/// per-seed noiseless reference traces), round markers and stream layout.
 /// Shared process-wide so sweep points never re-pay transpilation.
 struct StreamContext {
     memory: MemoryCircuit,
-    topology: Topology,
-    transpiled: Transpiled,
+    host: Host,
     /// Op index in the *transpiled* circuit where each round begins.
     round_starts: Vec<usize>,
     stream_spec: StreamSpec,
-    /// Reference traces keyed by their derived seed (engines with
-    /// different master seeds need different reference randomisations),
-    /// LRU-capped at [`REFERENCE_CACHE_CAP`] entries.
-    references: InternTable<u64, ReferenceTrace>,
 }
 
 impl StreamContext {
@@ -306,55 +299,16 @@ impl StreamContext {
         final_readout: bool,
         topology: Option<Topology>,
         initial_layout: Option<Vec<u32>>,
-        opts: &TranspileOptions,
     ) -> StreamContext {
         let memory = if final_readout {
             spec.build_memory_readout(rounds)
         } else {
             spec.build_memory(rounds)
         };
-        let topology = topology.unwrap_or_else(|| fitting_mesh(memory.total_qubits()));
-        assert!(
-            topology.num_qubits() >= memory.total_qubits(),
-            "topology {} too small for {}",
-            topology.name(),
-            memory.name
-        );
-        let transpiled = match initial_layout {
-            Some(l2p) => transpile_with_layout(
-                &memory.circuit,
-                &topology,
-                Layout::new(l2p, topology.num_qubits()),
-                opts,
-            ),
-            None => transpile(&memory.circuit, &topology, opts),
-        };
-        let round_starts = MemoryCircuit::round_starts_of(&transpiled.circuit, memory.rounds);
-        let stream_spec = stream_spec_of(&memory, &transpiled);
-        StreamContext {
-            memory,
-            topology,
-            transpiled,
-            round_starts,
-            stream_spec,
-            references: InternTable::new(REFERENCE_CACHE_CAP),
-        }
-    }
-
-    /// The noiseless reference trace for `seed`, computed once per
-    /// (context, seed) and shared by every chunk, campaign and engine.
-    /// Interned in the crate's LRU table: admitting a seed past
-    /// [`REFERENCE_CACHE_CAP`] evicts the least-recently-used trace, and
-    /// re-requesting it recomputes the same deterministic trace, so
-    /// eviction never changes streams.
-    fn reference(&self, seed: u64) -> Arc<ReferenceTrace> {
-        self.references.get_or_build(seed, || {
-            ReferenceTrace::compute(
-                &self.transpiled.circuit,
-                self.topology.num_qubits() as usize,
-                seed,
-            )
-        })
+        let host = Host::build(&memory.circuit, &memory.name, topology, initial_layout);
+        let round_starts = MemoryCircuit::round_starts_of(&host.transpiled.circuit, memory.rounds);
+        let stream_spec = stream_spec_of(&memory, &host.transpiled);
+        StreamContext { memory, host, round_starts, stream_spec }
     }
 }
 
@@ -367,22 +321,19 @@ fn context_cache() -> &'static InternTable<ContextKey, StreamContext> {
     CACHE.get_or_init(InternTable::uncapped)
 }
 
-/// Fluent configuration for [`StreamEngine`].
-pub struct StreamEngineBuilder {
-    spec: CodeSpec,
+/// The stream engine's own options on top of the shared [`EngineBuilder`]
+/// ones; set through [`StreamEngineBuilder`]'s methods.
+pub struct StreamOptions {
     rounds: usize,
     final_readout: bool,
-    host: HostKind,
-    topology: Option<Topology>,
-    initial_layout: Option<Vec<u32>>,
-    transpile_opts: TranspileOptions,
-    sampler: SamplerKind,
-    shots: usize,
-    seed: u64,
-    frame_chunk: Option<usize>,
+    native: bool,
     metrics: Option<Arc<MetricsRegistry>>,
     recorder: Option<Arc<FlightRecorder>>,
 }
+
+/// Fluent configuration for [`StreamEngine`]: the shared [`EngineBuilder`]
+/// options plus the memory's readout, host and telemetry choices.
+pub type StreamEngineBuilder = EngineBuilder<StreamOptions>;
 
 impl StreamEngineBuilder {
     /// Terminate the memory with a transversal data readout
@@ -393,78 +344,33 @@ impl StreamEngineBuilder {
     ///
     /// [`QecCode::build_memory_readout`]: crate::codes::QecCode::build_memory_readout
     pub fn final_readout(mut self) -> Self {
-        self.final_readout = true;
-        self
-    }
-
-    /// Override the architecture graph (default: the smallest 5×k mesh
-    /// that fits the memory circuit).
-    pub fn topology(mut self, topo: Topology) -> Self {
-        self.topology = Some(topo);
-        self.host = HostKind::Custom;
-        self
-    }
-
-    /// Pin the initial logical→physical placement instead of searching
-    /// (routing still runs; with a good table it inserts no SWAPs).
-    pub fn initial_layout(mut self, l2p: Vec<u32>) -> Self {
-        self.initial_layout = Some(l2p);
-        self.host = HostKind::Custom;
+        self.options.final_readout = true;
         self
     }
 
     /// Use the code's native SWAP-free embedding
     /// ([`CodeSpec::native_embedding`]) — topology and placement together.
     /// Falls back to the default fitted mesh + layout search for codes
-    /// without one (the degenerate XXZZ line codes).
+    /// without one (the degenerate XXZZ line codes). An explicit
+    /// [`topology`](EngineBuilder::topology) or
+    /// [`initial_layout`](EngineBuilder::initial_layout) wins, whichever
+    /// order the calls come in.
     pub fn native(mut self) -> Self {
-        if let Some((topo, l2p)) = self.spec.native_embedding() {
-            self.topology = Some(topo);
-            self.initial_layout = Some(l2p);
-            self.host = HostKind::Native;
-        }
-        self
-    }
-
-    /// Select the shot sampler (default [`SamplerKind::FrameBatch`]).
-    pub fn sampler(mut self, kind: SamplerKind) -> Self {
-        self.sampler = kind;
-        self
-    }
-
-    /// Streamed shots per campaign (default 1000).
-    pub fn shots(mut self, shots: usize) -> Self {
-        assert!(shots > 0, "need at least one shot");
-        self.shots = shots;
-        self
-    }
-
-    /// Master seed (see `InjectionEngineBuilder::seed` for the stream
-    /// derivation guarantees).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Override the shots-per-frame-batch size (default:
-    /// [`default_frame_chunk`]).
-    pub fn frame_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "frame chunk must be positive");
-        self.frame_chunk = Some(chunk);
+        self.options.native = true;
         self
     }
 
     /// Record this engine's stats into a shared registry instead of a
     /// fresh private one (fleet campaigns aggregate patches this way).
     pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
+        self.options.metrics = Some(registry);
         self
     }
 
     /// Record this engine's flight events into a shared recorder instead
     /// of a fresh private ring.
     pub fn flight_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
-        self.recorder = Some(recorder);
+        self.options.recorder = Some(recorder);
         self
     }
 
@@ -472,33 +378,28 @@ impl StreamEngineBuilder {
     /// process-wide context cache (one transpile per `(code, rounds,
     /// host)` target); custom topologies/placements build privately.
     pub fn build(self) -> StreamEngine {
-        let build = || {
-            StreamContext::build(
-                self.spec,
-                self.rounds,
-                self.final_readout,
-                self.topology,
-                self.initial_layout,
-                &self.transpile_opts,
-            )
+        let plan = self.plan(Streams::STREAM);
+        let StreamOptions { rounds, final_readout, native, metrics, recorder } = self.options;
+        let custom = self.topology.is_some() || self.initial_layout.is_some();
+        let embedding = if native && !custom { self.spec.native_embedding() } else { None };
+        let (host, topology, initial_layout) = match embedding {
+            Some((topology, l2p)) => (HostKind::Native, Some(topology), Some(l2p)),
+            None if custom => (HostKind::Custom, self.topology, self.initial_layout),
+            None => (HostKind::Fitted, None, None),
         };
-        let ctx = match self.host {
+        let build =
+            || StreamContext::build(self.spec, rounds, final_readout, topology, initial_layout);
+        let ctx = match host {
             HostKind::Custom => Arc::new(build()),
-            host => context_cache()
-                .get_or_build((self.spec, self.rounds, self.final_readout, host), build),
+            host => context_cache().get_or_build((self.spec, rounds, final_readout, host), build),
         };
         // Resolve every metric handle once here: the hot path bumps the
         // returned `Arc<Counter>`s directly and never touches the
         // registry's name map again.
-        let metrics = self.metrics.unwrap_or_default();
-        let recorder = self.recorder.unwrap_or_default();
+        let metrics = metrics.unwrap_or_default();
         StreamEngine {
             ctx,
-            sampler: self.sampler,
-            shots: self.shots,
-            seed: self.seed,
-            frame_chunk: self.frame_chunk.unwrap_or_else(|| default_frame_chunk(self.shots)),
-            workspaces: WorkspacePool::default(),
+            plan,
             rounds_generated: metrics.counter(names::STREAM_ROUNDS_GENERATED),
             chunks_generated: metrics.counter(names::STREAM_CHUNKS_GENERATED),
             chunks_stolen: metrics.counter(names::STREAM_CHUNKS_STOLEN),
@@ -507,7 +408,7 @@ impl StreamEngineBuilder {
             generate_ns: metrics.histogram(names::STAGE_GENERATE_NS),
             round_ns: metrics.histogram(names::STREAM_ROUND_NS),
             metrics,
-            recorder,
+            recorder: recorder.unwrap_or_default(),
         }
     }
 }
@@ -717,12 +618,8 @@ impl RoundSlice {
 /// topology) triple.
 pub struct StreamEngine {
     ctx: Arc<StreamContext>,
-    sampler: SamplerKind,
-    shots: usize,
-    seed: u64,
-    frame_chunk: usize,
-    /// Pooled per-worker workspaces, recycled across chunks and campaigns.
-    workspaces: WorkspacePool,
+    /// Chunk grid, seed streams and pooled workspaces.
+    plan: ShotPlan,
     /// The registry behind every counter/histogram handle below —
     /// per-engine by default, shareable via the builder.
     metrics: Arc<MetricsRegistry>,
@@ -742,21 +639,14 @@ pub struct StreamEngine {
 impl StreamEngine {
     /// Start configuring a `rounds`-round streaming engine for `spec`.
     pub fn builder(spec: CodeSpec, rounds: usize) -> StreamEngineBuilder {
-        StreamEngineBuilder {
-            spec,
+        let options = StreamOptions {
             rounds,
             final_readout: false,
-            host: HostKind::Fitted,
-            topology: None,
-            initial_layout: None,
-            transpile_opts: TranspileOptions::auto(),
-            sampler: SamplerKind::default(),
-            shots: 1000,
-            seed: 0,
-            frame_chunk: None,
+            native: false,
             metrics: None,
             recorder: None,
-        }
+        };
+        EngineBuilder::new(spec, options)
     }
 
     /// The assembled memory experiment.
@@ -766,12 +656,12 @@ impl StreamEngine {
 
     /// The architecture graph in use.
     pub fn topology(&self) -> &Topology {
-        &self.ctx.topology
+        &self.ctx.host.topology
     }
 
     /// The transpiled physical circuit and layouts.
     pub fn transpiled(&self) -> &Transpiled {
-        &self.ctx.transpiled
+        &self.ctx.host.transpiled
     }
 
     /// The stream layout handed to `radqec-detect` consumers.
@@ -781,7 +671,7 @@ impl StreamEngine {
 
     /// Streamed shots per campaign.
     pub fn shots(&self) -> usize {
-        self.shots
+        self.plan.shots
     }
 
     /// Stabilisation rounds per shot.
@@ -791,12 +681,12 @@ impl StreamEngine {
 
     /// Shots per chunk on the frame path's chunk grid.
     pub fn frame_chunk(&self) -> usize {
-        self.frame_chunk
+        self.plan.frame_chunk
     }
 
     /// The sampler backing this engine's shots.
     pub fn sampler(&self) -> SamplerKind {
-        self.sampler
+        self.plan.sampler
     }
 
     /// Lifetime perf counters: rounds/chunks generated, chunks stolen by
@@ -808,9 +698,9 @@ impl StreamEngine {
         // `radqec_telemetry::names`); pool and cache occupancy are
         // derived on read and mirrored into registry gauges so metric
         // snapshots carry them too.
-        let pool = self.workspaces.stats(&self.metrics);
-        let (reference_entries, reference_evictions) =
-            (self.ctx.references.len(), self.ctx.references.evictions());
+        let pool = self.plan.workspaces.stats(&self.metrics);
+        let references = &self.ctx.host.references;
+        let (reference_entries, reference_evictions) = (references.len(), references.evictions());
         self.metrics.gauge(names::REFERENCE_ENTRIES).set(reference_entries as u64);
         self.metrics.gauge(names::REFERENCE_EVICTIONS).set(reference_evictions);
         StreamStats {
@@ -867,7 +757,7 @@ impl StreamEngine {
         fault: &StreamFault,
     ) -> Result<Vec<ActiveFault>, StreamFaultError> {
         let rounds = self.ctx.memory.rounds;
-        let n = self.ctx.topology.num_qubits() as usize;
+        let n = self.ctx.host.topology.num_qubits() as usize;
         // A lone strike is the one-strike timeline at onset 0 on the
         // whole-stream clock: the running complement update below keeps
         // its ladder exactly `T(r / (R−1))·S(d)` (0 + q·1 = q).
@@ -895,7 +785,7 @@ impl StreamEngine {
             }
             let event = strike
                 .model
-                .try_strike(&self.ctx.topology, strike.root)
+                .try_strike(&self.ctx.host.topology, strike.root)
                 .map_err(StreamFaultError::BadRoot)?;
             events.push((strike, event));
         }
@@ -931,19 +821,14 @@ impl StreamEngine {
 
     /// Number of chunks on the engine's chunk grid.
     pub fn num_chunks(&self) -> usize {
-        self.shots.div_ceil(self.frame_chunk)
-    }
-
-    /// Width of chunk `chunk` (the last chunk may run short).
-    fn chunk_width(&self, chunk: usize) -> usize {
-        self.frame_chunk.min(self.shots - chunk * self.frame_chunk)
+        self.plan.num_chunks()
     }
 
     /// Return a workspace to the pool; one abandoned mid-chunk is
     /// quarantined instead and counted in
     /// [`StreamStats::workspaces_quarantined`].
     fn pool(&self, ws: StreamWorkspace) {
-        if !self.workspaces.put(ws) {
+        if !self.plan.workspaces.put(ws) {
             self.workspaces_quarantined.inc();
         }
     }
@@ -955,7 +840,7 @@ impl StreamEngine {
     /// batches are bit-identical to the round-by-round feed.
     pub fn stream_batches(&self, fault: &StreamFault, noise: &NoiseSpec) -> Vec<ShotBatch> {
         let faults = self.round_faults(fault);
-        match self.sampler {
+        match self.plan.sampler {
             SamplerKind::FrameBatch => self.frame_stream(&faults, noise),
             SamplerKind::Tableau => (0..self.num_chunks())
                 .map(|chunk| self.tableau_chunk(chunk, &faults, noise))
@@ -979,20 +864,12 @@ impl StreamEngine {
     fn round_ops(&self, r: usize) -> std::ops::Range<usize> {
         let starts = &self.ctx.round_starts;
         let start = if r == 0 { 0 } else { starts[r] };
-        let end =
-            if r + 1 < starts.len() { starts[r + 1] } else { self.ctx.transpiled.circuit.len() };
+        let end = if r + 1 < starts.len() {
+            starts[r + 1]
+        } else {
+            self.ctx.host.transpiled.circuit.len()
+        };
         start..end
-    }
-
-    /// The derived seed of the frame path's reference trace.
-    fn reference_seed(&self) -> u64 {
-        mix_seed(self.seed, 0x57E4, 0x5EED)
-    }
-
-    /// The RNG for frame chunk `chunk` (one independent stream per chunk,
-    /// identical no matter which worker claims it).
-    fn chunk_rng(&self, chunk: usize) -> StdRng {
-        StdRng::seed_from_u64(mix_seed(self.seed ^ 0x57E4_0000_0000_0001, 0, chunk as u64))
     }
 
     /// Copy round `r`'s syndrome rows out of a chunk record.
@@ -1014,7 +891,7 @@ impl StreamEngine {
         RoundSlice {
             chunk,
             round,
-            shot_offset: chunk * self.frame_chunk,
+            shot_offset: chunk * self.plan.frame_chunk,
             shots: record.shots(),
             num_stabs,
             words,
@@ -1027,9 +904,10 @@ impl StreamEngine {
     /// (identical no matter which worker claims it) and fresh frame/record
     /// buffers drawn from that stream.
     fn open_chunk(&self, chunk: usize, ws: &mut StreamWorkspace) -> StdRng {
-        let mut rng = self.chunk_rng(chunk);
-        let n_phys = self.ctx.topology.num_qubits() as usize;
-        ws.begin_chunk(&self.ctx.transpiled.circuit, n_phys, self.chunk_width(chunk), &mut rng);
+        let mut rng = self.plan.chunk_rng(0, chunk);
+        let host = &self.ctx.host;
+        let n_phys = host.topology.num_qubits() as usize;
+        ws.begin_chunk(&host.transpiled.circuit, n_phys, self.plan.chunk_width(chunk), &mut rng);
         rng
     }
 
@@ -1047,9 +925,9 @@ impl StreamEngine {
         ws: &'w mut StreamWorkspace,
         rng: &mut StdRng,
     ) -> &'w ShotBatch {
-        let (frame, record, mask) = ws.parts(self.chunk_width(chunk).div_ceil(64));
+        let (frame, record, mask) = ws.parts(self.plan.chunk_width(chunk).div_ceil(64));
         run_noisy_ops_segmented(
-            &self.ctx.transpiled.circuit,
+            &self.ctx.host.transpiled.circuit,
             reference,
             frame,
             noise,
@@ -1091,21 +969,15 @@ impl StreamEngine {
     /// Materialised frame path: chunk-parallel whole-circuit execution on
     /// pooled workspaces (bit-identical to the incremental path).
     fn frame_stream(&self, faults: &[ActiveFault], noise: &NoiseSpec) -> Vec<ShotBatch> {
-        let circuit = &self.ctx.transpiled.circuit;
-        let n_phys = self.ctx.topology.num_qubits() as usize;
-        let reference = self.ctx.reference(self.reference_seed());
+        let reference = self.plan.reference(&self.ctx.host);
+        let segments = self.segments(faults);
         (0..self.num_chunks())
             .into_par_iter()
             .map(|chunk| {
-                let width = self.chunk_width(chunk);
-                let segments = self.segments(faults);
-                let mut rng = self.chunk_rng(chunk);
-                let mut ws = self.workspaces.take();
                 let batch =
-                    ws.run_chunk(circuit, &reference, noise, &segments, n_phys, width, &mut rng);
+                    self.plan.frame_batch(&self.ctx.host, &reference, &segments, noise, 0, chunk);
                 self.rounds_generated.add(self.rounds() as u64);
                 self.chunks_generated.inc();
-                self.pool(ws);
                 batch
             })
             .collect()
@@ -1113,15 +985,9 @@ impl StreamEngine {
 
     /// One tableau-oracle chunk: per-shot CHP replay (shot-parallel).
     fn tableau_chunk(&self, chunk: usize, faults: &[ActiveFault], noise: &NoiseSpec) -> ShotBatch {
-        let first = chunk * self.frame_chunk;
-        let batch = tableau_batch(
-            &self.ctx.transpiled.circuit,
-            self.ctx.topology.num_qubits(),
-            noise,
-            &self.segments(faults),
-            self.chunk_width(chunk),
-            |shot| mix_seed(self.seed ^ 0x57E4_0000_0000_0002, 0, (first + shot) as u64),
-        );
+        let (first, width) = (chunk * self.plan.frame_chunk, self.plan.chunk_width(chunk));
+        let batch =
+            self.plan.tableau(&self.ctx.host, &self.segments(faults), noise, 0, first, width);
         self.rounds_generated.add(self.rounds() as u64);
         self.chunks_generated.inc();
         batch
@@ -1139,11 +1005,11 @@ impl StreamEngine {
             engine: self,
             faults: self.round_faults(fault),
             noise: *noise,
-            reference: match self.sampler {
-                SamplerKind::FrameBatch => Some(self.ctx.reference(self.reference_seed())),
+            reference: match self.plan.sampler {
+                SamplerKind::FrameBatch => Some(self.plan.reference(&self.ctx.host)),
                 SamplerKind::Tableau => None,
             },
-            ws: self.workspaces.take(),
+            ws: self.plan.workspaces.take(),
             rng: StdRng::seed_from_u64(0),
             tableau_batch: None,
             chunk: 0,
@@ -1211,12 +1077,12 @@ impl StreamEngine {
         F: Fn(RoundSlice) + Sync,
     {
         assert_eq!(
-            self.sampler,
+            self.plan.sampler,
             SamplerKind::FrameBatch,
             "for_each_round_supervised drives the frame sampler; use round_stream for the oracle"
         );
         let faults = self.try_round_faults(fault)?;
-        let reference = self.ctx.reference(self.reference_seed());
+        let reference = self.plan.reference(&self.ctx.host);
         let chunks = self.num_chunks();
         let next = AtomicUsize::new(0);
         let completed = AtomicU64::new(0);
@@ -1226,7 +1092,7 @@ impl StreamEngine {
         let failures: Mutex<Vec<ChunkFailure>> = Mutex::new(Vec::new());
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(chunks);
         let run_worker = |worker: usize| {
-            let mut ws = Some(self.workspaces.take());
+            let mut ws = Some(self.plan.workspaces.take());
             let mut claimed = 0u64;
             loop {
                 let chunk = next.fetch_add(1, Ordering::Relaxed);
@@ -1389,6 +1255,7 @@ impl Drop for RoundStream<'_> {
 mod tests {
     use super::*;
     use crate::codes::{RepetitionCode, XxzzCode};
+    use crate::sampling::REFERENCE_CACHE_CAP;
     use radqec_detect::{EventAccumulator, EventStream};
 
     #[test]
@@ -1978,7 +1845,7 @@ mod tests {
         };
         let engines: Vec<StreamEngine> = (0..12).map(mk).collect();
         for e in &engines {
-            let _ = e.ctx.reference(e.reference_seed());
+            let _ = e.plan.reference(&e.ctx.host);
         }
         let stats = engines[0].stream_stats();
         assert!(
@@ -1988,7 +1855,7 @@ mod tests {
         assert_eq!(stats.reference_evictions, 4, "12 distinct seeds over an 8-slot cache");
         // A re-requested evicted seed is recomputed, not wedged, and the
         // cache stays under its ceiling.
-        let _ = engines[0].ctx.reference(engines[0].reference_seed());
+        let _ = engines[0].plan.reference(&engines[0].ctx.host);
         assert!(engines[0].stream_stats().reference_entries <= REFERENCE_CACHE_CAP);
     }
 
@@ -2005,8 +1872,8 @@ mod tests {
         let b = mk();
         assert!(Arc::ptr_eq(&a.ctx, &b.ctx), "same (code, rounds, host) must share a context");
         // Same seed ⇒ same reference trace object.
-        let ra = a.ctx.reference(a.reference_seed());
-        let rb = b.ctx.reference(b.reference_seed());
+        let ra = a.plan.reference(&a.ctx.host);
+        let rb = b.plan.reference(&b.ctx.host);
         assert!(Arc::ptr_eq(&ra, &rb));
         // A custom host must not go through the cache.
         let custom = StreamEngine::builder(RepetitionCode::bit_flip(3).into(), 4)
@@ -2014,5 +1881,28 @@ mod tests {
             .topology(radqec_topology::generators::linear(9))
             .build();
         assert!(!Arc::ptr_eq(&a.ctx, &custom.ctx));
+    }
+
+    #[test]
+    fn explicit_host_wins_over_native_in_either_order() {
+        let spec = CodeSpec::from(XxzzCode::new(3, 3));
+        let mesh = || radqec_topology::generators::mesh(5, 5);
+        let mk = |builder: StreamEngineBuilder| builder.shots(8).seed(3).build();
+        let explicit = mk(StreamEngine::builder(spec, 3).topology(mesh()));
+        let native = mk(StreamEngine::builder(spec, 3).native());
+        // Compared with `==`, not `assert_eq!`: a failure would print both
+        // whole circuits.
+        assert!(
+            native.transpiled().circuit != explicit.transpiled().circuit,
+            "the native embedding must host differently, or this test proves nothing"
+        );
+        for (order, engine) in [
+            ("native first", mk(StreamEngine::builder(spec, 3).native().topology(mesh()))),
+            ("topology first", mk(StreamEngine::builder(spec, 3).topology(mesh()).native())),
+        ] {
+            assert_eq!(engine.topology().name(), explicit.topology().name(), "{order}");
+            assert!(engine.transpiled().circuit == explicit.transpiled().circuit, "{order}");
+            assert!(!Arc::ptr_eq(&engine.ctx, &native.ctx), "{order}: shares the native context");
+        }
     }
 }

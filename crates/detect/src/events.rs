@@ -32,12 +32,6 @@ impl StreamSpec {
         debug_assert!(round < self.rounds && stab < self.num_stabs);
         (round * self.num_stabs + stab) as u32
     }
-
-    /// Physical qubit whose measurement produced (round, stab).
-    #[inline]
-    pub fn ancilla_at(&self, round: usize, stab: usize) -> u32 {
-        self.ancilla_physical[round * self.num_stabs + stab]
-    }
 }
 
 /// Per-round detection-event bit-planes for a batch of streamed shots.

@@ -8,14 +8,20 @@
 //! both samplers — any change to draw order, chunking or executor
 //! semantics shows up as a digest mismatch.
 //!
+//! The injection engine's streams are pinned the same way: digests of
+//! `InjectionEngine::frame_batches_at_sample` (frame sampler, a chunk grid
+//! whose last chunk runs short) and the exact bits of tableau-sampler
+//! logical error rates (that arm has no batch accessor).
+//!
 //! To re-capture (only when a stream-breaking change is *intended*):
 //! `cargo test --release --test golden_stream -- --ignored --nocapture`.
 
 use radqec_circuit::ShotBatch;
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
-use radqec_core::injection::SamplerKind;
+use radqec_core::injection::{InjectionEngine, SamplerKind};
 use radqec_core::streaming::{StreamEngine, StreamFault};
-use radqec_noise::{NoiseSpec, RadiationModel};
+use radqec_noise::{FaultSpec, NoiseSpec, RadiationModel};
+use radqec_topology::generators::mesh;
 
 /// FNV-1a over the batch grid: shot counts, widths and every row word.
 fn digest(batches: &[ShotBatch]) -> u64 {
@@ -123,5 +129,105 @@ fn capture_golden_digests() {
             case.strike_root.is_some(),
             run_case(&case)
         );
+    }
+}
+
+/// The injection cases: rep-5 on its default host and xxzz-(3,3) on a
+/// 5×5 mesh.
+fn injection_engine(name: &str, sampler: SamplerKind, shots: usize) -> InjectionEngine {
+    let builder = match name {
+        "rep5" => InjectionEngine::builder(RepetitionCode::bit_flip(5).into()),
+        "xxzz33" => InjectionEngine::builder(XxzzCode::new(3, 3).into()).topology(mesh(5, 5)),
+        _ => unreachable!("unknown injection case {name}"),
+    };
+    builder.shots(shots).seed(0x601D).sampler(sampler).frame_chunk(128).build()
+}
+
+fn injection_fault(strike: bool) -> FaultSpec {
+    match strike {
+        false => FaultSpec::None,
+        true => FaultSpec::Radiation { model: RadiationModel::default(), root: 2 },
+    }
+}
+
+/// Frame-sampler cases: `(code, strike, sample)`, 300 shots on a 128-shot
+/// chunk grid (the last chunk runs 44 shots).
+fn injection_frame_cases() -> Vec<(&'static str, bool, usize)> {
+    let mut v = Vec::new();
+    for name in ["rep5", "xxzz33"] {
+        for strike in [false, true] {
+            for sample in [0, 3] {
+                v.push((name, strike, sample));
+            }
+        }
+    }
+    v
+}
+
+fn run_injection_frame_case(name: &str, strike: bool, sample: usize) -> u64 {
+    let engine = injection_engine(name, SamplerKind::FrameBatch, 300);
+    digest(&engine.frame_batches_at_sample(
+        &injection_fault(strike),
+        &NoiseSpec::paper_default(),
+        sample,
+    ))
+}
+
+/// Tableau-sampler logical error rate (64 shots, strike at sample 0), as
+/// its exact `f64` bits.
+fn run_injection_tableau_case(name: &str) -> u64 {
+    let engine = injection_engine(name, SamplerKind::Tableau, 64);
+    engine.logical_error_at_sample(&injection_fault(true), &NoiseSpec::paper_default(), 0).to_bits()
+}
+
+/// Injection-engine digests captured before the engines shared one
+/// sampling core; see module docs for the capture command.
+const INJECTION_FRAME_GOLDEN: &[(&str, bool, usize, u64)] = &[
+    ("rep5", false, 0, 0xcf77091c36fa8caf),
+    ("rep5", false, 3, 0x11214d22186043b8),
+    ("rep5", true, 0, 0x4e3108719987b8cd),
+    ("rep5", true, 3, 0xf8fa4cd4e7250c42),
+    ("xxzz33", false, 0, 0xcb5deb857eb9261e),
+    ("xxzz33", false, 3, 0xfdcd169f49bc0c10),
+    ("xxzz33", true, 0, 0x88563674791dd63c),
+    ("xxzz33", true, 3, 0x217e2ef0695afb1d),
+];
+
+/// Tableau logical error rates (`f64::to_bits`) captured alongside
+/// [`INJECTION_FRAME_GOLDEN`].
+const INJECTION_TABLEAU_GOLDEN: &[(&str, u64)] =
+    &[("rep5", 0x3fd8000000000000), ("xxzz33", 0x3fe3000000000000)];
+
+#[test]
+fn injection_streams_match_golden_digests() {
+    let cases = injection_frame_cases();
+    assert_eq!(cases.len(), INJECTION_FRAME_GOLDEN.len(), "case list drifted from golden list");
+    for (&(name, strike, sample), &(g_name, g_strike, g_sample, want)) in
+        cases.iter().zip(INJECTION_FRAME_GOLDEN)
+    {
+        assert_eq!((name, strike, sample), (g_name, g_strike, g_sample));
+        assert_eq!(
+            run_injection_frame_case(name, strike, sample),
+            want,
+            "{name} strike={strike} sample={sample}: frame batches changed"
+        );
+    }
+    assert_eq!(INJECTION_TABLEAU_GOLDEN.len(), 2, "case list drifted from golden list");
+    for &(name, want) in INJECTION_TABLEAU_GOLDEN {
+        assert_eq!(run_injection_tableau_case(name), want, "{name}: tableau logical error changed");
+    }
+}
+
+#[test]
+#[ignore = "capture tool: prints the injection GOLDEN tables from the current implementation"]
+fn capture_injection_golden_digests() {
+    for (name, strike, sample) in injection_frame_cases() {
+        println!(
+            "    (\"{name}\", {strike}, {sample}, 0x{:016x}),",
+            run_injection_frame_case(name, strike, sample)
+        );
+    }
+    for name in ["rep5", "xxzz33"] {
+        println!("    (\"{name}\", 0x{:016x}),", run_injection_tableau_case(name));
     }
 }
